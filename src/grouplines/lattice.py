@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import SimpleGraph, connected_components
-from .groups import FiniteGroup
+from .groups import FiniteGroup, factorize
 
 
 @dataclass(frozen=True)
@@ -39,23 +39,21 @@ def build_gamma(group: FiniteGroup) -> LabeledGraph:
     """The cyclic subgroup graph of `group`.
 
     Vertices are sorted by (subgroup order, member tuple) so output is
-    deterministic; the edge test scans all subgroup pairs for strict
-    containment with no intermediate cyclic subgroup.
+    deterministic.  Every subgroup of a cyclic group D is cyclic, one for
+    each divisor of |D|, so D covers a cyclic subgroup C exactly when |D|/|C|
+    is prime and the generator of C lies in D.
     """
     subs = group.cyclic_subgroups()
-    sets = [frozenset(s.members) for s in subs]
-    k = len(subs)
+    by_order: dict[int, list[int]] = {}
+    for i, s in enumerate(subs):
+        by_order.setdefault(s.order, []).append(i)
     edges = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            small, large = sets[i], sets[j]
-            if not small < large:
-                continue
-            covered = not any(
-                small < mid < large for m, mid in enumerate(sets) if m != i and m != j
-            )
-            if covered:
-                edges.append((i, j))
+    for j, large in enumerate(subs):
+        members = set(large.members)
+        for p, _ in factorize(large.order).factors:
+            for i in by_order[large.order // p]:
+                if subs[i].generator in members:
+                    edges.append((i, j))
     labels = []
     for s in subs:
         if s.order == 1:
@@ -63,7 +61,7 @@ def build_gamma(group: FiniteGroup) -> LabeledGraph:
         else:
             name = f"<{group.labels[s.generator]}> (order {s.order})"
         labels.append(VertexLabel(s.order, s.members, name))
-    return LabeledGraph(SimpleGraph.from_edges(k, edges), tuple(labels))
+    return LabeledGraph(SimpleGraph.from_edges(len(subs), edges), tuple(labels))
 
 
 def divisor_hasse(n: int) -> SimpleGraph:

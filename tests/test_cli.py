@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from grouplines.cli import main
@@ -65,6 +67,20 @@ def test_bad_group_specs_exit_2(capsys, spec):
     code, _, err = run(capsys, "check", spec)
     assert code == 2
     assert "error:" in err
+
+
+def test_check_rejects_a_non_associative_loop(capsys, tmp_path):
+    rows = ["0 1 2 3 4", "1 0 3 4 2", "2 3 4 0 1", "3 4 1 2 0", "4 2 0 1 3"]
+    table = [[int(x) for x in row.split()] for row in rows]
+    path = tmp_path / "loop.tbl"
+    path.write_text("order 5\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", f"file:{path}")
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+    match = re.search(r"associativity fails at \((\d+),(\d+),(\d+)\)", err)
+    assert match, err
+    i, j, k = map(int, match.groups())
+    assert table[table[i][j]][k] != table[i][table[j][k]]
 
 
 def test_gamma_accepts_a_valid_table_file(capsys, tmp_path):

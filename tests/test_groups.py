@@ -1,11 +1,15 @@
+import re
+
 import pytest
 
+from grouplines.catalog import build_catalog, parse_group_spec
 from grouplines.groups import (
     Factorization,
     FiniteGroup,
     GroupTableError,
     OrderClass,
     Subgroup,
+    _generators,
     classify_order,
     direct_product,
     factorize,
@@ -28,6 +32,10 @@ order 5
 3 4 1 2 0
 4 2 0 1 3
 """
+
+
+# Beyond the catalog's order 60, up to the largest orders `check` is timed on.
+LARGE_SPECS = ("Z160", "Z4xZ40", "D80", "Dic40", "S5", "Z2xZ2xZ2xZ2xZ2xZ2xZ2")
 
 
 def small_catalog():
@@ -320,3 +328,77 @@ def test_isomorphism_ignores_element_numbering():
     )
     shuffled = FiniteGroup("shuffled", table, g.labels)
     assert is_isomorphic_small_group(g, shuffled)
+
+
+# ---------------------------------------------------------------------------
+# associativity: Light's test against the brute-force oracle
+
+
+def brute_force_associativity_failure(table):
+    """The first (i, j, k) with (i*j)*k != i*(j*k), or None: all n^3 triples."""
+    n = len(table)
+    for i in range(n):
+        ti = table[i]
+        for j in range(n):
+            lhs = table[ti[j]]
+            rhs = tuple(ti[x] for x in table[j])
+            if lhs != rhs:
+                return i, j, next(k for k in range(n) if lhs[k] != rhs[k])
+    return None
+
+
+def reduced_latin_squares(n):
+    """Every n x n Latin square whose first row and column are 0..n-1 in
+    order: the loop tables with identity 0."""
+    rows = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+    full = (1 << n) - 1
+    row_used = [full] + [1 << i for i in range(1, n)]
+    col_used = [full] + [1 << j for j in range(1, n)]
+
+    def fill(cell):
+        if cell == (n - 1) * (n - 1):
+            yield tuple(tuple(row) for row in rows)
+            return
+        i, j = divmod(cell, n - 1)
+        i, j = i + 1, j + 1
+        free = full & ~(row_used[i] | col_used[j])
+        while free:
+            bit = free & -free
+            free ^= bit
+            rows[i][j] = bit.bit_length() - 1
+            row_used[i] |= bit
+            col_used[j] |= bit
+            yield from fill(cell + 1)
+            row_used[i] ^= bit
+            col_used[j] ^= bit
+
+    return list(fill(0))
+
+
+TRIPLE = re.compile(r"associativity fails at \((\d+),(\d+),(\d+)\)")
+
+
+@pytest.mark.parametrize("n,count", [(1, 1), (2, 1), (3, 1), (4, 4), (5, 56), (6, 9408)])
+def test_light_test_agrees_with_brute_force_on_every_loop(n, count):
+    tables = reduced_latin_squares(n)
+    assert len(tables) == count
+    for table in tables:
+        failure = brute_force_associativity_failure(table)
+        try:
+            FiniteGroup("loop", table, tuple(map(str, range(n))))
+        except GroupTableError as exc:
+            assert failure is not None, table
+            i, j, k = map(int, TRIPLE.match(str(exc)).groups())
+            assert table[table[i][j]][k] != table[i][table[j][k]], (table, str(exc))
+        else:
+            assert failure is None, table
+
+
+def test_generators_halve_the_remaining_work():
+    """At most floor(log2 n) generators, so validation composes at most
+    n * floor(log2 n) rows: a count that would catch a return to cubic cost."""
+    groups = [rec.group for rec in build_catalog(60)]
+    groups += [parse_group_spec(spec) for spec in LARGE_SPECS]
+    for g in groups:
+        gens = list(_generators(g.table))
+        assert len(gens) <= g.order.bit_length() - 1, (g.name, gens)

@@ -1,5 +1,6 @@
 import pytest
 
+from grouplines.catalog import build_catalog, parse_group_spec
 from grouplines.graphs import is_isomorphic, make_named
 from grouplines.groups import (
     direct_product,
@@ -144,6 +145,34 @@ def covering_holds(group):
             if lg.graph.has_edge(lo, hi) == between:
                 return False
     return True
+
+
+def covering_pairs_by_scan(group):
+    """Brute-force oracle: (i, j) with C_i < C_j and no cyclic subgroup
+    strictly between, over all triples of cyclic subgroups."""
+    sets = [frozenset(s.members) for s in group.cyclic_subgroups()]
+    k = len(sets)
+    return {
+        (i, j)
+        for i in range(k)
+        for j in range(i + 1, k)
+        if sets[i] < sets[j]
+        and not any(sets[i] < mid < sets[j] for m, mid in enumerate(sets) if m not in (i, j))
+    }
+
+
+@pytest.mark.parametrize(
+    "spec", ["Z160", "Z4xZ40", "D80", "Dic40", "S5", "Z2xZ2xZ2xZ2xZ2xZ2xZ2"]
+)
+def test_prime_index_edges_match_the_covering_scan_beyond_order_60(spec):
+    group = parse_group_spec(spec)
+    assert set(build_gamma(group).graph.edges()) == covering_pairs_by_scan(group)
+
+
+def test_prime_index_edges_match_the_covering_scan_over_the_catalog():
+    for record in build_catalog(60):
+        edges = set(build_gamma(record.group).graph.edges())
+        assert edges == covering_pairs_by_scan(record.group), record.source
 
 
 def test_edges_are_exactly_the_covering_pairs():
