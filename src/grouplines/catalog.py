@@ -8,6 +8,7 @@ path; inside a product, `file:` tokens must not contain the letter x.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import reduce
@@ -29,6 +30,12 @@ from .groups import (
 
 _ATOM = re.compile(r"(Dic|Z|D|S|A)(\d+)")
 
+# Cost guard: the largest group order a spec may build.  Table building is
+# quadratic in the order and validation adds a log factor (Z2048 takes about
+# half a second), so larger specs are refused before any table exists.  A
+# spec that is a single table file is not capped: its table is the input.
+MAX_SPEC_ORDER = 2048
+
 _CONSTRUCTORS = {
     "Z": make_cyclic,
     "D": make_dihedral,
@@ -39,23 +46,31 @@ _CONSTRUCTORS = {
 
 
 def parse_group_spec(spec: str) -> FiniteGroup:
-    """Build the group a spec string describes; ValueError on bad input."""
+    """Build the group a spec string describes; ValueError on bad input.
+
+    The order is read from the grammar, times the orders of any table files,
+    and checked against MAX_SPEC_ORDER before any other table is built.
+    """
     spec = spec.strip()
     if not spec:
         raise ValueError("empty group spec")
     if spec.startswith("file:"):
         return _load_table(spec[len("file:") :])
-    parts = spec.split("x")
-    groups = []
-    for token in parts:
-        if token.startswith("file:"):
-            groups.append(_load_table(token[len("file:") :]))
-            continue
-        m = _ATOM.fullmatch(token)
-        if not m:
-            raise ValueError(f"bad group spec token {token!r} in {spec!r}")
-        groups.append(_CONSTRUCTORS[m.group(1)](int(m.group(2))))
+    order = _spec_order(spec)
+    tokens = spec.split("x")
+    files = {
+        i: _load_table(token[len("file:") :])
+        for i, token in enumerate(tokens)
+        if token.startswith("file:")
+    }
+    _guarded(order * math.prod(table.order for table in files.values()), spec)
+    groups = [files[i] if i in files else _atom(token) for i, token in enumerate(tokens)]
     return reduce(direct_product, groups)
+
+
+def _atom(token: str) -> FiniteGroup:
+    kind, n = _ATOM.fullmatch(token).groups()
+    return _CONSTRUCTORS[kind](int(n))
 
 
 def _load_table(path: str) -> FiniteGroup:
@@ -139,29 +154,39 @@ def catalog_specs(max_order: int = 60) -> tuple[str, ...]:
     return tuple(source for order, source in entries if order <= max_order)
 
 
-def _spec_order(source: str) -> int:
+def _spec_order(spec: str) -> int:
+    """The order of the group a spec names, from the grammar alone.
+
+    `file:` factors count as 1.  Raises ValueError on a bad token, and on an
+    order above MAX_SPEC_ORDER as soon as a partial product passes it, so a
+    huge spec costs nothing.
+    """
     order = 1
-    for token in source.split("x"):
+    for token in spec.split("x"):
+        if token.startswith("file:"):
+            continue
         m = _ATOM.fullmatch(token)
+        if not m:
+            raise ValueError(f"bad group spec token {token!r} in {spec!r}")
         kind, n = m.group(1), int(m.group(2))
-        if kind == "Z":
-            order *= n
-        elif kind == "D":
-            order *= 2 * n
-        elif kind == "Dic":
-            order *= 4 * n
-        elif kind == "S":
-            order *= _factorial(n)
+        if kind in ("S", "A"):
+            # |S_n| = 2*3*...*n and |A_n| = 3*4*...*n for n >= 2.
+            factor = 1
+            for i in range(2 if kind == "S" else 3, n + 1):
+                factor = _guarded(factor * i, spec)
         else:
-            order *= _factorial(n) // 2
+            factor = n * {"Z": 1, "D": 2, "Dic": 4}[kind]
+        order = _guarded(order * factor, spec)
     return order
 
 
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
+def _guarded(order: int, spec: str) -> int:
+    if order > MAX_SPEC_ORDER:
+        raise ValueError(
+            f"group spec {spec!r} has order above {MAX_SPEC_ORDER}, the limit for"
+            " built-in groups and products"
+        )
+    return order
 
 
 def build_catalog(

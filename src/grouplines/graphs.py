@@ -1,9 +1,13 @@
-"""Small-graph engine: exact isomorphism, canonical forms, induced-subgraph
-search, and exhaustive enumeration of isomorphism classes.
+"""Graph engine: exact isomorphism, canonical forms, induced-subgraph search,
+and exhaustive enumeration of isomorphism classes.
 
-Everything here targets graphs with at most a dozen or so vertices.  Adjacency
-is kept as one bitmask per vertex, which makes the backtracking searches cheap
-and the value types hashable.
+Adjacency is kept as one bitmask per vertex, which makes the backtracking
+searches cheap and the value types hashable.  The induced-subgraph search
+serves hosts of any size (the cyclic subgroup graph of Z2^7 has 128
+vertices): its cost is polynomial in the host, with the pattern size as the
+exponent, and each pattern is compiled once into a `SearchPlan`.
+Isomorphism, canonical forms and enumeration are exponential and meant for
+small graphs; enumeration is cost-guarded.
 """
 
 from __future__ import annotations
@@ -311,45 +315,183 @@ def is_isomorphic(a: SimpleGraph, b: SimpleGraph) -> bool:
 
 # ---------------------------------------------------------------------------
 # induced-subgraph search
+#
+# Each pattern is compiled once into a static search plan, after Ullmann
+# (J. ACM 1976): a fixed vertex order and, per depth, the earlier depths that
+# must be adjacent or non-adjacent and a degree bound, so a search node is a
+# few mask operations.  Lex-leader constraints from the stabiliser chain of
+# Aut(pattern), after Grochow & Kellis (RECOMB 2007), make the search visit
+# each set of equivalent embeddings once instead of |Aut(pattern)| times.
+
+
+@dataclass(frozen=True)
+class SearchPlan:
+    """A pattern compiled once for induced-subgraph search.
+
+    Depth d places pattern vertex `order[d]`.  Its host image must have
+    degree at least `degree[d]`, be adjacent to the images placed at the
+    depths in `adjacent[d]`, be non-adjacent to those in `non_adjacent[d]`,
+    and exceed the image placed at depth `above[d]` (-1: no bound).
+    `orbit_sizes[d]` is the size of the orbit of `order[d]` under the
+    automorphisms that fix `order[:d]`; their product is |Aut(pattern)|.
+    """
+
+    order: tuple[int, ...]
+    degree: tuple[int, ...]
+    adjacent: tuple[tuple[int, ...], ...]
+    non_adjacent: tuple[tuple[int, ...], ...]
+    above: tuple[int, ...]
+    orbit_sizes: tuple[int, ...]
+
+
+def _non_neighbours(adj: Sequence[int]) -> list[int]:
+    full = (1 << len(adj)) - 1
+    return [full ^ mask ^ (1 << v) for v, mask in enumerate(adj)]
+
+
+@lru_cache(maxsize=1)
+def _host_masks(host: SimpleGraph) -> tuple[Sequence[int], Sequence[int]]:
+    """Non-neighbour masks of a host, and `at_least[d]`, the mask of its
+    vertices of degree >= d for d up to max degree + 1 (the last is 0).
+
+    Kept for the last host only: a scan runs every pattern over one host in
+    a row, so the masks are built once per host rather than once per
+    pattern.  The masks are shared, so callers only read them.  Measured on
+    the recognize-lines benchmark, building the masks per pattern, or
+    holding them or the degrees in tuples, made the resident memory of a
+    30 s run creep up by 0.3-2 MiB.
+    """
+    degrees = [mask.bit_count() for mask in host.adj]
+    at_least = [0] * (max(degrees, default=0) + 2)
+    for v, d in enumerate(degrees):
+        at_least[d] |= 1 << v
+    for d in range(len(at_least) - 2, -1, -1):
+        at_least[d] |= at_least[d + 1]
+    return _non_neighbours(host.adj), at_least
+
+
+def _search(
+    adj: Sequence[int],
+    non: Sequence[int],
+    steps: Sequence[tuple[tuple[int, ...], tuple[int, ...], int]],
+    allowed: Sequence[int],
+) -> list[int] | None:
+    """Depth-first search over the plan rows `steps`; host images by depth.
+
+    Each depth's candidates start from `allowed[d]` and are narrowed by
+    masks alone.  `non[v]` excludes v itself, and every earlier depth is
+    either adjacent or non-adjacent, so used vertices drop out with no
+    extra mask.  Candidates are tried in ascending order, so the result is
+    the lexicographically least solution.
+    """
+    k = len(steps)
+    image = [0] * k
+    if not k:
+        return image
+    cands = [0] * k
+    cands[0] = allowed[0]
+    d = 0
+    while d >= 0:
+        c = cands[d]
+        if not c:
+            d -= 1
+            continue
+        low = c & -c
+        cands[d] = c ^ low
+        image[d] = low.bit_length() - 1
+        d += 1
+        if d == k:
+            return image
+        near, far, above = steps[d]
+        c = allowed[d]
+        for j in near:
+            c &= adj[image[j]]
+        for j in far:
+            c &= non[image[j]]
+        if above >= 0:
+            shift = image[above] + 1
+            c = c >> shift << shift
+        cands[d] = c
+    return None
+
+
+@lru_cache(maxsize=128)
+def search_plan(pattern: SimpleGraph) -> SearchPlan:
+    """Compile a pattern: vertex order, per-depth masks and symmetry breaking.
+
+    The order is descending degree, ties by index.  Symmetry breaking
+    follows the stabiliser chain of Aut(pattern) along that order: if the
+    vertex at a later depth e lies in the orbit of the vertex at depth d
+    under the automorphisms fixing the first d vertices, the image at e must
+    exceed the image at d.  An embedding meets every such constraint
+    exactly when it is the lexicographically least of its Aut(pattern)
+    orbit.  The constraints are transitive, so each depth keeps only the
+    deepest one.  Orbits come from one constrained self-embedding search
+    per (depth, vertex) pair; Aut(pattern) itself is never listed.
+    """
+    n, adj = pattern.n, pattern.adj
+    order = tuple(sorted(range(n), key=lambda v: (-pattern.degree(v), v)))
+    degree = tuple(pattern.degree(v) for v in order)
+    adjacent = tuple(
+        tuple(j for j in range(d) if (adj[order[d]] >> order[j]) & 1) for d in range(n)
+    )
+    non_adjacent = tuple(
+        tuple(j for j in range(d) if not (adj[order[d]] >> order[j]) & 1)
+        for d in range(n)
+    )
+    # An induced self-embedding is an automorphism, and automorphisms
+    # preserve degree, so depth d may only take vertices of degree[d].
+    same_degree = [
+        sum(1 << v for v in range(n) if pattern.degree(v) == want) for want in degree
+    ]
+    plain = [(near, far, -1) for near, far in zip(adjacent, non_adjacent)]
+    non = _non_neighbours(adj)
+    fixed = [1 << v for v in order]
+    above = [-1] * n
+    orbit_sizes = []
+    for d in range(n):
+        size = 1
+        for e in range(d + 1, n):
+            if degree[e] != degree[d]:
+                continue
+            allowed = fixed[:d] + [fixed[e]] + same_degree[d + 1 :]
+            if _search(adj, non, plain, allowed) is not None:
+                above[e] = d
+                size += 1
+        orbit_sizes.append(size)
+    return SearchPlan(
+        order, degree, adjacent, non_adjacent, tuple(above), tuple(orbit_sizes)
+    )
 
 
 def find_induced(host: SimpleGraph, pattern: SimpleGraph) -> tuple[int, ...] | None:
     """An injective map with pattern adjacency AND non-adjacency preserved.
 
-    Backtracks over pattern vertices in descending-degree order (ties by
-    index); host candidates are tried in ascending order, so the returned
-    witness is deterministic.  None when no induced copy exists.
+    Runs the pattern's compiled `search_plan`: pattern vertices are placed
+    in descending-degree order (ties by index) and host candidates are tried
+    in ascending order, so the witness is the lexicographically least
+    embedding in that order.  Lex-leader symmetry breaking prunes every
+    embedding that an automorphism of the pattern maps to a smaller one;
+    the least embedding is never pruned, so the witness is the same as a
+    search without it would return.  None when no induced copy exists.
     """
     if pattern.n > host.n:
         return None
-    order = sorted(range(pattern.n), key=lambda v: (-pattern.degree(v), v))
-    image = [-1] * pattern.n
-    full = (1 << host.n) - 1
-    hdeg = host.degrees()
-
-    def extend(idx: int, used: int) -> bool:
-        if idx == len(order):
-            return True
-        p = order[idx]
-        cand = full & ~used
-        for q in order[:idx]:
-            if pattern.has_edge(p, q):
-                cand &= host.adj[image[q]]
-            else:
-                cand &= ~host.adj[image[q]]
-        want = pattern.degree(p)
-        for v in _bits(cand):
-            if hdeg[v] < want:
-                continue
-            image[p] = v
-            if extend(idx + 1, used | (1 << v)):
-                return True
-        image[p] = -1
-        return False
-
-    if extend(0, 0):
-        return tuple(image)
-    return None
+    plan = search_plan(pattern)
+    non, at_least = _host_masks(host)
+    top = len(at_least) - 1
+    image = _search(
+        host.adj,
+        non,
+        list(zip(plan.adjacent, plan.non_adjacent, plan.above)),
+        [at_least[min(want, top)] for want in plan.degree],
+    )
+    if image is None:
+        return None
+    out = [0] * pattern.n
+    for d, p in enumerate(plan.order):
+        out[p] = image[d]
+    return tuple(out)
 
 
 def check_induced_embedding(

@@ -24,6 +24,7 @@ from .graphs import (
     is_connected,
     isomorphism,
     make_named,
+    search_plan,
 )
 
 # Root search is exhaustive over candidate roots, so it is cost-guarded.
@@ -290,6 +291,10 @@ def derive_forbidden_set() -> ForbiddenSet:
             f"forbidden-set derivation is inconsistent: found {len(patterns)}"
             " minimal non-line graphs, expected 9"
         )
+    # Compile the scan plans here, so a process that forks after set-up
+    # never compiles them again.
+    for pattern in patterns:
+        search_plan(pattern)
     return ForbiddenSet(patterns)
 
 

@@ -83,6 +83,20 @@ def test_check_rejects_a_non_associative_loop(capsys, tmp_path):
     assert table[table[i][j]][k] != table[i][table[j][k]]
 
 
+@pytest.mark.parametrize(
+    "spec",
+    ["Z99999999", "S99999999", "Dic1000xZ2", "x".join(["Z2"] * 12), "Z1025xfile:z2.tbl"],
+)
+def test_check_rejects_specs_above_the_order_limit(capsys, tmp_path, monkeypatch, spec):
+    # Each is refused before its tables are built; Z99999999 used to hang.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "z2.tbl").write_text(to_cayley_table(make_cyclic(2)), encoding="utf-8")
+    code, out, err = run(capsys, "check", spec)
+    assert code == 2 and out == ""
+    assert f"group spec {spec!r} has order above 2048" in err
+    assert "Traceback" not in err
+
+
 def test_gamma_accepts_a_valid_table_file(capsys, tmp_path):
     path = tmp_path / "z6.tbl"
     path.write_text(to_cayley_table(make_cyclic(6)), encoding="utf-8")
