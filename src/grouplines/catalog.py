@@ -36,6 +36,15 @@ _ATOM = re.compile(r"(Dic|Z|D|S|A)(\d+)")
 # spec that is a single table file is not capped: its table is the input.
 MAX_SPEC_ORDER = 2048
 
+# The parameters each constructor takes, within the order limit.
+_PARAMETERS = {
+    "Z": range(1, MAX_SPEC_ORDER + 1),
+    "D": range(1, MAX_SPEC_ORDER // 2 + 1),
+    "Dic": range(2, MAX_SPEC_ORDER // 4 + 1),
+    "S": range(1, 6),
+    "A": range(3, 6),
+}
+
 _CONSTRUCTORS = {
     "Z": make_cyclic,
     "D": make_dihedral,
@@ -157,9 +166,10 @@ def catalog_specs(max_order: int = 60) -> tuple[str, ...]:
 def _spec_order(spec: str) -> int:
     """The order of the group a spec names, from the grammar alone.
 
-    `file:` factors count as 1.  Raises ValueError on a bad token, and on an
-    order above MAX_SPEC_ORDER as soon as a partial product passes it, so a
-    huge spec costs nothing.
+    `file:` factors count as 1.  Tokens are checked from left to right, and
+    ValueError names the first faulty one: a token that does not parse, a
+    parameter its constructor refuses, or an order above MAX_SPEC_ORDER as
+    soon as a partial product passes it, so a huge spec costs nothing.
     """
     order = 1
     for token in spec.split("x"):
@@ -177,6 +187,12 @@ def _spec_order(spec: str) -> int:
         else:
             factor = n * {"Z": 1, "D": 2, "Dic": 4}[kind]
         order = _guarded(order * factor, spec)
+        allowed = _PARAMETERS[kind]
+        if n not in allowed:
+            raise ValueError(
+                f"bad group spec token {token!r} in {spec!r}: the {kind}"
+                f" parameter must be in {allowed.start}..{allowed.stop - 1}"
+            )
     return order
 
 

@@ -16,7 +16,6 @@ from .graphs import format_graph_text
 from .groups import GroupTableError
 from .lattice import build_gamma, to_dot, to_edge_list
 from .linegraph import (
-    ROOT_SEARCH_MAX_VERTICES,
     derive_forbidden_set,
     is_line_graph_by_beineke,
     is_line_graph_by_roots,
@@ -41,12 +40,9 @@ def cmd_check(args: argparse.Namespace) -> int:
         names = ", ".join(lg.labels[v].name for v in verdict.embedding)
         print(f"NOT A LINE GRAPH: {verdict.pattern_id} at vertices [{names}]")
         return 0
-    if lg.graph.n <= ROOT_SEARCH_MAX_VERTICES:
-        rooted = is_line_graph_by_roots(lg.graph)
-        edges = " ".join(f"{u}-{v}" for u, v in rooted.root.edges())
-        print(f"LINE GRAPH (root graph: {rooted.root.n} vertices, edges {edges})")
-    else:
-        print("LINE GRAPH")
+    rooted = is_line_graph_by_roots(lg.graph)
+    edges = " ".join(f"{u}-{v}" for u, v in rooted.root.edges())
+    print(f"LINE GRAPH (root graph: {rooted.root.n} vertices, edges {edges})")
     return 0
 
 

@@ -1,20 +1,22 @@
 """Line graphs and two independent recognizers.
 
-A graph is decided to be a line graph either by exhibiting a root graph whose
-line graph is isomorphic to it (exhaustive search, the small-graph oracle) or
-by showing that none of the nine minimal forbidden patterns occurs as an
-induced subgraph (the production path, valid at any size).  The nine patterns
-themselves are derived from scratch by the root-search oracle rather than
-hardcoded; only their count is asserted.
+A graph is decided to be a line graph either by building a root graph whose
+line graph it is (an edge-assignment search, polynomial by Whitney's theorem,
+whose root and edge map certify every positive answer at any size) or by
+showing that none of the nine minimal forbidden patterns occurs as an induced
+subgraph.  The nine patterns themselves are derived from scratch rather than
+hardcoded, by an oracle that matches every graph on at most 6 vertices
+against the line graphs of all small roots, independently of both
+recognizers; only the count of patterns is asserted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 from .graphs import (
-    EnumerationLimitError,
     SimpleGraph,
     canonical_key,
     connected_components,
@@ -26,12 +28,6 @@ from .graphs import (
     make_named,
     search_plan,
 )
-
-# Root search is exhaustive over candidate roots, so it is cost-guarded.
-ROOT_SEARCH_MAX_VERTICES = 12
-# Components up to this many vertices are matched against the enumerated
-# candidate lists; larger ones use the incremental assignment search.
-_ENUM_ROOT_EDGES = 6
 
 
 @dataclass(frozen=True)
@@ -122,102 +118,96 @@ def _root_by_enumeration(
 def _root_by_assignment(
     comp: SimpleGraph,
 ) -> tuple[SimpleGraph, tuple[tuple[int, int], ...]] | None:
-    """Backtracking over edge assignments for a connected component.
+    """A root graph and edge map for a connected graph, or None.
 
-    Searches the same space as whole-root enumeration, built incrementally:
-    each component vertex receives a distinct root edge, adjacent vertices
-    must share an endpoint and non-adjacent ones must not.  New root
-    vertices are introduced in canonical order, so every candidate root with
-    comp.n edges is covered up to isomorphism.
+    Each vertex receives a distinct root edge, taken in an order in which
+    every vertex after the first is adjacent to an earlier one; adjacent
+    vertices must share an endpoint and non-adjacent ones must not.  New root
+    vertices are introduced in canonical order, so no candidate root is
+    missed up to isomorphism.
     """
+    # Why this is polynomial: a connected root with at least 7 edges has at
+    # least 5 vertices, and for such roots Whitney's theorem (Amer. J. Math.
+    # 1932) says every isomorphism between their line graphs comes from a
+    # unique vertex bijection.  Every prefix of the order is connected, so
+    # once 7 vertices are placed each later vertex has at most one consistent
+    # edge, and the search branches only while placing the first 7 (the
+    # scheme of Degiorgi & Simon's ILIGRA, WG 1995).  It loops rather than
+    # recurses, as a component can be deeper than the recursion limit.
     k = comp.n
+    adj = comp.adj
     start = max(range(k), key=lambda v: (comp.degree(v), -v))
-    order = [start]
-    seen = {start}
-    while len(order) < k:
-        nxt = min(
-            v
-            for v in range(k)
-            if v not in seen and any(comp.has_edge(v, w) for w in order)
-        )
-        order.append(nxt)
-        seen.add(nxt)
+    # Next is always the lowest-index unplaced vertex adjacent to the placed
+    # set; nbrs[i] is the mask of the neighbours of order[i] placed before it.
+    order, nbrs = [start], [0]
+    placed = 1 << start
+    frontier = adj[start]
+    while frontier:
+        v = (frontier & -frontier).bit_length() - 1
+        order.append(v)
+        nbrs.append(adj[v] & placed)
+        placed |= 1 << v
+        frontier = (frontier | adj[v]) & ~placed
 
-    assign: dict[int, tuple[int, int]] = {}
-    used: set[tuple[int, int]] = set()
+    # at[x] is the mask of placed vertices whose edge has endpoint x.  A
+    # connected root with k edges has at most k + 1 vertices.
+    at = [0] * (k + 1)
+    at[0] = at[1] = 1 << start
+    edge_of = {start: (0, 1)}
 
-    def consistent(v: int, edge: tuple[int, int]) -> bool:
-        a, b = edge
-        for w, (c, d) in assign.items():
-            shares = a == c or a == d or b == c or b == d
-            if shares != comp.has_edge(v, w):
-                return False
-        return True
+    def candidates(nbrs: int, vmax: int) -> Iterator[tuple[int, int]]:
+        # Consistent unused edges in lexicographic order.  Each root vertex
+        # up to vmax lies on a placed edge, so both ends of a consistent edge
+        # lie on a neighbour's edge, except for a new root vertex vmax + 1.
+        ends = [x for x in range(vmax + 1) if at[x] & nbrs]
+        for i, x in enumerate(ends):
+            for y in (*ends[i + 1 :], vmax + 1):
+                if at[x] | at[y] == nbrs and not at[x] & at[y]:
+                    yield x, y
 
-    def extend(idx: int, vmax: int) -> int | None:
-        if idx == k:
-            return vmax
+    tried: list[Iterator[tuple[int, int]]] = []  # one per depth from 1 on
+    vmax = idx = 1
+    while 0 < idx < k:
         v = order[idx]
-        endpoints = sorted(
-            {
-                x
-                for w in order[:idx]
-                if comp.has_edge(v, w)
-                for x in assign[w]
-            }
-        )
-        seen_edges = set()
-        for x in endpoints:
-            for y in [*range(vmax + 1), vmax + 1]:
-                edge = (x, y) if x < y else (y, x)
-                if x == y or edge in used or edge in seen_edges:
-                    continue
-                seen_edges.add(edge)
-                if not consistent(v, edge):
-                    continue
-                assign[v] = edge
-                used.add(edge)
-                result = extend(idx + 1, max(vmax, edge[1]))
-                if result is not None:
-                    return result
-                del assign[v]
-                used.discard(edge)
+        if len(tried) < idx:
+            tried.append(candidates(nbrs[idx], vmax))
+        else:  # back from a dead end below: undo this depth's edge
+            x, y = edge_of.pop(v)
+            at[x] ^= 1 << v
+            at[y] ^= 1 << v
+            if not at[y]:  # y was a new root vertex
+                vmax = y - 1
+        edge = next(tried[-1], None)
+        if edge is None:
+            tried.pop()
+            idx -= 1
+            continue
+        edge_of[v] = edge
+        x, y = edge
+        at[x] |= 1 << v
+        at[y] |= 1 << v
+        vmax = max(vmax, y)
+        idx += 1
+    if idx == 0:
         return None
-
-    assign[order[0]] = (0, 1)
-    used.add((0, 1))
-    vmax = extend(1, 1)
-    if vmax is None:
-        return None
-    root = SimpleGraph.from_edges(vmax + 1, assign.values())
-    return root, tuple(assign[v] for v in range(k))
-
-
-def _component_root(
-    comp: SimpleGraph,
-) -> tuple[SimpleGraph, tuple[tuple[int, int], ...]] | None:
-    if comp.n <= _ENUM_ROOT_EDGES:
-        return _root_by_enumeration(comp)
-    return _root_by_assignment(comp)
+    root = SimpleGraph.from_edges(vmax + 1, edge_of.values())
+    return root, tuple(edge_of[v] for v in range(k))
 
 
 def is_line_graph_by_roots(
     g: SimpleGraph, forbidden: ForbiddenSet | None = None
 ) -> Verdict:
-    """Decide by exhaustive root search, componentwise.
+    """Decide by building a root graph, componentwise, at any size.
 
     A disjoint union is a line graph iff each component is; the certified
     root is then the disjoint union of component roots.  On a negative
     answer the witness is deferred to the forbidden-pattern recognizer when
     a ForbiddenSet is supplied.
     """
-    if g.n > ROOT_SEARCH_MAX_VERTICES:
-        raise EnumerationLimitError(
-            f"root search is limited to {ROOT_SEARCH_MAX_VERTICES} vertices, got {g.n}"
-        )
-    pieces = []
+    total = 0
+    edge_map: list[tuple[int, int]] = [(-1, -1)] * g.n
     for comp_vertices in connected_components(g):
-        found = _component_root(g.induced(comp_vertices))
+        found = _root_by_assignment(g.induced(comp_vertices))
         if found is None:
             if forbidden is not None:
                 verdict = is_line_graph_by_beineke(g, forbidden)
@@ -228,27 +218,23 @@ def is_line_graph_by_roots(
                     )
                 return verdict
             return Verdict(False)
-        pieces.append((comp_vertices, *found))
-
-    total = 0
-    union_edges: list[tuple[int, int]] = []
-    edge_map: list[tuple[int, int]] = [(-1, -1)] * g.n
-    for comp_vertices, root, comp_map in pieces:
-        union_edges.extend((a + total, b + total) for a, b in root.edges())
-        for local, v in enumerate(comp_vertices):
-            a, b = comp_map[local]
+        root, comp_map = found
+        for v, (a, b) in zip(comp_vertices, comp_map):
             edge_map[v] = (a + total, b + total)
         total += root.n
+    # Every edge of a component root is the image of a vertex.
     return Verdict(
-        True,
-        root=SimpleGraph.from_edges(total, union_edges),
-        edge_map=tuple(edge_map),
+        True, root=SimpleGraph.from_edges(total, edge_map), edge_map=tuple(edge_map)
     )
 
 
 def _is_line_graph_exhaustive(g: SimpleGraph) -> bool:
+    """The derivation's oracle, for graphs on at most 6 vertices: each
+    component is looked up among the line graphs of every connected graph
+    with as many edges."""
     return all(
-        _component_root(g.induced(cv)) is not None for cv in connected_components(g)
+        _root_by_enumeration(g.induced(cv)) is not None
+        for cv in connected_components(g)
     )
 
 

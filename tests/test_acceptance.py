@@ -39,6 +39,8 @@ from grouplines.verify import (
     verify_main_theorem,
 )
 
+from certificates import edge_map_certifies
+
 
 @pytest.fixture(scope="module")
 def catalog60():
@@ -100,9 +102,10 @@ def test_criterion_2_recognizer_cross_agreement(forbidden):
                 continue
             g = line_graph(h)
             assert is_line_graph_by_beineke(g, forbidden).is_line_graph, h
-            if g.n <= linegraph_mod.ROOT_SEARCH_MAX_VERTICES:
-                assert is_line_graph_by_roots(g).is_line_graph, h
+            verdict = is_line_graph_by_roots(g)
+            assert verdict.is_line_graph and edge_map_certifies(g, verdict), h
             line_graph_checks += 1
+    assert line_graph_checks == 995
     print(
         f"\nACCEPTANCE PASS criterion 2: recognizers agree on 208 classes and"
         f" {line_graph_checks} line graphs of connected roots on <= 7 vertices"

@@ -2,9 +2,13 @@ import re
 
 import pytest
 
+from grouplines import cli
+from grouplines.catalog import catalog_specs
 from grouplines.cli import main
-from grouplines.graphs import is_isomorphic, make_named, parse_graph_text
+from grouplines.graphs import SimpleGraph, is_isomorphic, make_named, parse_graph_text
 from grouplines.groups import make_cyclic, to_cayley_table
+from grouplines.lattice import build_gamma
+from grouplines.linegraph import line_graph
 
 Z6_EDGES_OUTPUT = """\
 vertices 4
@@ -97,6 +101,14 @@ def test_check_rejects_specs_above_the_order_limit(capsys, tmp_path, monkeypatch
     assert "Traceback" not in err
 
 
+def test_check_names_the_first_faulty_token(capsys):
+    # The guard would fire at S99999999, but Z0 comes first.
+    code, out, err = run(capsys, "check", "Z0xS99999999")
+    assert code == 2 and out == ""
+    assert "'Z0'" in err and "above 2048" not in err
+    assert "Traceback" not in err
+
+
 def test_gamma_accepts_a_valid_table_file(capsys, tmp_path):
     path = tmp_path / "z6.tbl"
     path.write_text(to_cayley_table(make_cyclic(6)), encoding="utf-8")
@@ -127,6 +139,38 @@ def test_check_z49(capsys):
     code, out, _ = run(capsys, "check", "Z49")
     assert code == 0
     assert out.startswith("LINE GRAPH")
+
+
+ROOT_LINE = re.compile(
+    r"LINE GRAPH \(root graph: (\d+) vertices, edges((?: \d+-\d+)*)\)\n"
+)
+
+
+def test_every_positive_check_prints_a_root_of_its_gamma(capsys, monkeypatch):
+    # Record the Γ each check builds rather than build it again: Z2048 alone
+    # costs about a second.  Z64, Z128 and Z2048 have Γ on 7, 8 and 12
+    # vertices.
+    built = []
+
+    def recording_build_gamma(group):
+        built.append(build_gamma(group))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_gamma", recording_build_gamma)
+    positives = 0
+    for spec in (*catalog_specs(60), "Z64", "Z128", "Z2048"):
+        code, out, _ = run(capsys, "check", spec)
+        assert code == 0
+        if out.startswith("NOT A LINE GRAPH"):
+            assert spec not in ("Z64", "Z128", "Z2048")
+            continue
+        m = ROOT_LINE.fullmatch(out)
+        assert m, out
+        edges = [tuple(map(int, e.split("-"))) for e in m.group(2).split()]
+        root = SimpleGraph.from_edges(int(m.group(1)), edges)
+        assert is_isomorphic(line_graph(root), built[-1].graph), spec
+        positives += 1
+    assert positives == 55
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 import random
+import time
 
 import pytest
 
 from grouplines.graphs import (
-    EnumerationLimitError,
     SimpleGraph,
     canonical_key,
     check_induced_embedding,
@@ -14,6 +14,7 @@ from grouplines.graphs import (
     is_connected,
     is_isomorphic,
     make_named,
+    path_graph,
     star_graph,
 )
 from grouplines.linegraph import (
@@ -24,18 +25,7 @@ from grouplines.linegraph import (
     line_graph,
 )
 
-
-def edge_map_certifies(g, verdict):
-    """The root evidence is self-contained: shared endpoints mirror adjacency."""
-    em = verdict.edge_map
-    if len(set(em)) != g.n:
-        return False
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if bool(set(em[u]) & set(em[v])) != g.has_edge(u, v):
-                return False
-    return all(verdict.root.has_edge(a, b) for a, b in em)
-
+from certificates import edge_map_certifies
 
 # ---------------------------------------------------------------------------
 # line-graph construction
@@ -88,11 +78,6 @@ def test_disconnected_inputs_are_decided_componentwise():
     assert not is_line_graph_by_roots(bad).is_line_graph  # P4 + claw
 
 
-def test_root_search_size_guard():
-    with pytest.raises(EnumerationLimitError):
-        is_line_graph_by_roots(complete_graph(13))
-
-
 def test_complete_graphs_are_line_graphs_of_stars():
     for n in range(1, 7):
         verdict = is_line_graph_by_roots(complete_graph(n))
@@ -120,10 +105,73 @@ def test_large_component_roots_via_assignment_search():
     rook = line_graph(
         SimpleGraph.from_edges(6, [(i, 3 + j) for i in range(3) for j in range(3)])
     )
-    verdict = is_line_graph_by_roots(rook)  # 9 vertices, above the enumeration window
+    verdict = is_line_graph_by_roots(rook)
     assert verdict.is_line_graph
     assert edge_map_certifies(rook, verdict)
     assert not is_line_graph_by_roots(star_graph(8)).is_line_graph
+
+
+@pytest.mark.parametrize(
+    "g",
+    # The long path is deeper than the interpreter's recursion limit.
+    [line_graph(complete_graph(20)), path_graph(1200)],
+    ids=["L(K20)", "P1200"],
+)
+def test_large_line_graphs_get_a_certified_root_quickly(g):
+    start = time.monotonic()
+    verdict = is_line_graph_by_roots(g)
+    assert time.monotonic() - start < 2.0
+    assert verdict.is_line_graph
+    assert edge_map_certifies(g, verdict)
+
+
+def _cocktail_party(pairs):
+    """K(2 x pairs): every vertex is adjacent to all but itself and its twin."""
+    n = 2 * pairs
+    return SimpleGraph(n, tuple(((1 << n) - 1) ^ (3 << (v & ~1)) for v in range(n)))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        _cocktail_party(50),  # 100 vertices
+        SimpleGraph.from_edges(
+            40, [e for e in complete_graph(40).edges() if e != (0, 1)]
+        ),
+    ],
+    ids=["cocktail-party-100", "K40-minus-an-edge"],
+)
+def test_large_non_line_graphs_are_rejected_quickly(g):
+    start = time.monotonic()
+    verdict = is_line_graph_by_roots(g)
+    assert time.monotonic() - start < 2.0
+    assert not verdict.is_line_graph
+
+
+def test_root_search_agrees_with_the_scan_on_perturbed_line_graphs():
+    rng = random.Random(11)
+    f = derive_forbidden_set()
+    verdicts = []
+    for _ in range(200):
+        k = rng.randint(13, 40)  # edges of the root, vertices of its line graph
+        nv = rng.randint(6, k + 1)
+        while nv * (nv - 1) // 2 < k:
+            nv += 1
+        pairs = [(a, b) for a in range(nv) for b in range(a + 1, nv)]
+        g = line_graph(SimpleGraph.from_edges(nv, rng.sample(pairs, k)))
+        g = g.relabeled(rng.sample(range(k), k))
+        adj = list(g.adj)
+        for _ in range(rng.randint(0, 2)):
+            u, v = rng.sample(range(k), 2)
+            adj[u] ^= 1 << v
+            adj[v] ^= 1 << u
+        g = SimpleGraph(k, tuple(adj))
+        verdict = is_line_graph_by_roots(g)
+        assert verdict.is_line_graph == is_line_graph_by_beineke(g, f).is_line_graph
+        if verdict.is_line_graph:
+            assert edge_map_certifies(g, verdict)
+        verdicts.append(verdict.is_line_graph)
+    assert 20 < sum(verdicts) < 180
 
 
 # ---------------------------------------------------------------------------
