@@ -45,6 +45,10 @@ _PARAMETERS = {
     "A": range(3, 6),
 }
 
+# The largest order in the built-in catalog (Z60 and A5); `catalog_specs`
+# with a larger max_order returns the same specs.
+CATALOG_MAX_ORDER = 60
+
 _CONSTRUCTORS = {
     "Z": make_cyclic,
     "D": make_dihedral,
@@ -137,7 +141,7 @@ SMALL_GROUP_SPECS: tuple[str, ...] = (
 )
 
 
-def catalog_specs(max_order: int = 60) -> tuple[str, ...]:
+def catalog_specs(max_order: int = CATALOG_MAX_ORDER) -> tuple[str, ...]:
     """Built-in catalog specs with order <= max_order, deterministic order.
 
     The complete classification below order 16, then parametric families:
@@ -147,7 +151,7 @@ def catalog_specs(max_order: int = 60) -> tuple[str, ...]:
     entries: list[tuple[int, str]] = []
     for source in SMALL_GROUP_SPECS:
         entries.append((_spec_order(source), source))
-    for n in range(16, 61):
+    for n in range(16, CATALOG_MAX_ORDER + 1):
         entries.append((n, f"Z{n}"))
     for m in range(2, 7):
         for k in range(m, 49):
@@ -206,7 +210,7 @@ def _guarded(order: int, spec: str) -> int:
 
 
 def build_catalog(
-    max_order: int = 60, table_paths: tuple[str, ...] = ()
+    max_order: int = CATALOG_MAX_ORDER, table_paths: tuple[str, ...] = ()
 ) -> tuple[GroupRecord, ...]:
     """Built-in records up to max_order, then externally loaded tables.
 

@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .catalog import build_catalog, parse_group_spec
+from .catalog import CATALOG_MAX_ORDER, build_catalog, parse_group_spec
 from .graphs import format_graph_text
 from .groups import GroupTableError
 from .lattice import build_gamma, to_dot, to_edge_list
@@ -20,7 +20,7 @@ from .linegraph import (
     is_line_graph_by_beineke,
     is_line_graph_by_roots,
 )
-from .verify import check_completeness_claim, verify_case_theorems, verify_main_theorem
+from .verify import verify_catalog
 
 
 def cmd_gamma(args: argparse.Namespace) -> int:
@@ -63,9 +63,18 @@ def cmd_forbidden(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     catalog = build_catalog(args.max_order, tuple(args.catalog))
-    main_report = verify_main_theorem(catalog)
-    case_report = verify_case_theorems(catalog)
-    completeness = check_completeness_claim(catalog)
+    if not catalog:
+        raise ValueError(
+            f"--max-order {args.max_order} selects no built-in group (the smallest"
+            " has order 1) and no --catalog table was given"
+        )
+    if args.max_order > CATALOG_MAX_ORDER:
+        print(
+            f"note: built-in catalog stops at order {CATALOG_MAX_ORDER};"
+            f" {len(catalog) - len(args.catalog)} built-in groups used",
+            file=sys.stderr,
+        )
+    main_report, case_report, completeness = verify_catalog(catalog)
     sys.stdout.write(main_report.to_text())
     sys.stdout.write(case_report.to_text())
     sys.stdout.write(completeness.summary() + "\n")
@@ -97,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_forbidden)
 
     p = sub.add_parser("verify", help="run the classification over the catalog")
-    p.add_argument("--max-order", type=int, default=60)
+    p.add_argument("--max-order", type=int, default=CATALOG_MAX_ORDER)
     p.add_argument(
         "--catalog",
         action="append",

@@ -13,6 +13,7 @@ operations are pure, so instances can be shared freely across threads.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -191,13 +192,29 @@ class FiniteGroup:
         """All distinct cyclic subgroups, sorted by (order, members).
 
         Deduplicated by member set; the stored generator is the smallest
-        element generating that member set.
+        element generating that member set.  Elements are taken in ascending
+        order and each subgroup's powers are walked once: <g> is generated
+        exactly by the g^k with gcd(k, |g|) = 1, so those are marked and
+        skipped.  An unmarked g generates no subgroup found before, so it is
+        the smallest generator of <g>.  The cost is the sum of the subgroup
+        orders, not of the element orders.
         """
-        seen: dict[tuple[int, ...], int] = {}
+        table = self.table
+        covered = bytearray(self.order)
+        subs = []
         for g in range(self.order):
-            members = self.cyclic_subgroup(g).members
-            seen.setdefault(members, g)
-        subs = [Subgroup(members, generator=g) for members, g in seen.items()]
+            if covered[g]:
+                continue
+            powers = [0]
+            x = g
+            while x != 0:
+                powers.append(x)
+                x = table[x][g]
+            m = len(powers)
+            for k in range(1, m):
+                if math.gcd(k, m) == 1:
+                    covered[powers[k]] = 1
+            subs.append(Subgroup(tuple(sorted(powers)), generator=g))
         subs.sort(key=lambda s: (s.order, s.members))
         return tuple(subs)
 

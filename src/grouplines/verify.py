@@ -7,6 +7,12 @@ catalog group; `verify_case_theorems` re-derives the per-case witnesses the
 arguments are built from (claws with prescribed subgroup orders); and
 `check_completeness_claim` tests that the graph is complete exactly for the
 trivial group and groups of prime order.
+
+All three reports are read off one facts pass per group (`GroupFacts`): Γ
+is built once, and the recognizer's verdict, cyclicity and the prediction
+are computed once; every report derives its rows from these records.
+`verify_catalog` returns the three reports of one pass, as `grouplines
+verify` prints them; each of the three functions above runs its own pass.
 """
 
 from __future__ import annotations
@@ -26,13 +32,38 @@ _LINE_GRAPH_CLASSES = frozenset(
 
 def predict(group: FiniteGroup) -> bool:
     """Classification right-hand side: cyclic of prime-power or pq order."""
-    cls = classify_order(factorize(group.order))
-    return group.is_cyclic() and cls in _LINE_GRAPH_CLASSES
+    return _predicted(group.is_cyclic(), classify_order(factorize(group.order)))
 
 
-def _decide(record: GroupRecord) -> tuple[LabeledGraph, Verdict]:
+def _predicted(is_cyclic: bool, order_class: OrderClass) -> bool:
+    return is_cyclic and order_class in _LINE_GRAPH_CLASSES
+
+
+@dataclass(frozen=True)
+class GroupFacts:
+    """Everything the reports need about one catalog group."""
+
+    record: GroupRecord
+    gamma: LabeledGraph
+    verdict: Verdict
+    is_cyclic: bool
+    predicted: bool
+
+
+def _group_facts(record: GroupRecord) -> GroupFacts:
+    """Build Γ, run the recognizer and test cyclicity, once."""
     lg = build_gamma(record.group)
-    return lg, is_line_graph_by_beineke(lg.graph, derive_forbidden_set())
+    verdict = is_line_graph_by_beineke(lg.graph, derive_forbidden_set())
+    is_cyclic = record.group.is_cyclic()
+    return GroupFacts(
+        record, lg, verdict, is_cyclic, _predicted(is_cyclic, record.order_class)
+    )
+
+
+def _catalog_facts(catalog: tuple[GroupRecord, ...]) -> tuple[GroupFacts, ...]:
+    if not catalog:
+        raise ValueError("catalog must be non-empty")
+    return tuple(_group_facts(record) for record in catalog)
 
 
 def _witness_summary(lg: LabeledGraph, verdict: Verdict) -> str:
@@ -95,23 +126,24 @@ def _b(flag: bool) -> str:
 
 def verify_main_theorem(catalog: tuple[GroupRecord, ...]) -> TheoremReport:
     """One row per group: predicted (right-hand side) vs actual (recognizer)."""
-    if not catalog:
-        raise ValueError("catalog must be non-empty")
-    rows = []
-    for record in catalog:
-        lg, verdict = _decide(record)
-        rows.append(
+    return _theorem_report(_catalog_facts(catalog))
+
+
+def _theorem_report(facts: tuple[GroupFacts, ...]) -> TheoremReport:
+    return TheoremReport(
+        tuple(
             TheoremRow(
-                name=record.source,
-                order=record.group.order,
-                order_class=record.order_class,
-                is_cyclic=record.group.is_cyclic(),
-                predicted=predict(record.group),
-                actual=verdict.is_line_graph,
-                witness=_witness_summary(lg, verdict),
+                name=f.record.source,
+                order=f.record.group.order,
+                order_class=f.record.order_class,
+                is_cyclic=f.is_cyclic,
+                predicted=f.predicted,
+                actual=f.verdict.is_line_graph,
+                witness=_witness_summary(f.gamma, f.verdict),
             )
+            for f in facts
         )
-    return TheoremReport(tuple(rows))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -216,16 +248,17 @@ def verify_case_theorems(catalog: tuple[GroupRecord, ...]) -> CaseReport:
     groups of order pq, a chain-shaped claw for cyclic two-prime orders, and
     any induced claw for the remaining negatives.
     """
-    if not catalog:
-        raise ValueError("catalog must be non-empty")
-    forbidden = derive_forbidden_set()
-    claw = forbidden.patterns[0]
+    return _case_report(_catalog_facts(catalog))
+
+
+def _case_report(facts: tuple[GroupFacts, ...]) -> CaseReport:
+    claw = derive_forbidden_set().patterns[0]
     claw_center = max(range(claw.n), key=claw.degree)
     checks = []
-    for record in catalog:
+    for f in facts:
+        record, lg, verdict = f.record, f.gamma, f.verdict
         group = record.group
         factors = factorize(group.order).factors
-        lg, verdict = _decide(record)
         actual = verdict.is_line_graph
 
         if record.order_class is OrderClass.THREE_OR_MORE_PRIMES:
@@ -234,7 +267,7 @@ def verify_case_theorems(catalog: tuple[GroupRecord, ...]) -> CaseReport:
             checks.append(
                 _claw_check("three-primes", record, lg, actual, center, leaves)
             )
-        elif group.is_cyclic() and record.order_class in (
+        elif f.is_cyclic and record.order_class in (
             OrderClass.PRIME_POWER,
             OrderClass.TWO_PRIMES_PQ,
         ):
@@ -248,7 +281,7 @@ def verify_case_theorems(catalog: tuple[GroupRecord, ...]) -> CaseReport:
                     ok=actual,
                 )
             )
-        elif group.is_cyclic() and record.order_class is OrderClass.TWO_PRIMES_OTHER:
+        elif f.is_cyclic and record.order_class is OrderClass.TWO_PRIMES_OTHER:
             t, u = _chain_primes(factors)
             center = min(_vertices_of_order(lg, t))
             leaves = [
@@ -259,7 +292,7 @@ def verify_case_theorems(catalog: tuple[GroupRecord, ...]) -> CaseReport:
             checks.append(
                 _claw_check("cyclic-two-primes", record, lg, actual, center, leaves)
             )
-        elif not group.is_cyclic() and group.is_abelian():
+        elif not f.is_cyclic and group.is_abelian():
             t = _prime_with_three_subgroups(lg, factors)
             center = _trivial_vertex(lg)
             leaves = _vertices_of_order(lg, t)[:3]
@@ -275,7 +308,7 @@ def verify_case_theorems(catalog: tuple[GroupRecord, ...]) -> CaseReport:
             checks.append(
                 _claw_check("nonabelian-pq", record, lg, actual, center, leaves)
             )
-        elif not predict(group):
+        elif not f.predicted:
             # Remaining negatives (non-abelian prime-power or two-prime
             # orders): any induced claw will do; take the recognizer's.
             center = leaves = None
@@ -347,15 +380,18 @@ class CompletenessReport:
 
 def check_completeness_claim(catalog: tuple[GroupRecord, ...]) -> CompletenessReport:
     """The graph is complete exactly for the trivial group and prime orders."""
-    if not catalog:
-        raise ValueError("catalog must be non-empty")
+    return _completeness_report(_catalog_facts(catalog))
+
+
+def _completeness_report(facts: tuple[GroupFacts, ...]) -> CompletenessReport:
     rows = []
-    for record in catalog:
+    for f in facts:
+        record = f.record
         factors = factorize(record.group.order).factors
         expected = record.group.order == 1 or (
             len(factors) == 1 and factors[0][1] == 1
         )
-        stats = gamma_stats(build_gamma(record.group))
+        stats = gamma_stats(f.gamma)
         rows.append(
             CompletenessRow(
                 name=record.source,
@@ -365,3 +401,15 @@ def check_completeness_claim(catalog: tuple[GroupRecord, ...]) -> CompletenessRe
             )
         )
     return CompletenessReport(tuple(rows))
+
+
+# ---------------------------------------------------------------------------
+# all three reports
+
+
+def verify_catalog(
+    catalog: tuple[GroupRecord, ...],
+) -> tuple[TheoremReport, CaseReport, CompletenessReport]:
+    """The main-theorem, case and completeness reports from one facts pass."""
+    facts = _catalog_facts(catalog)
+    return _theorem_report(facts), _case_report(facts), _completeness_report(facts)

@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,9 @@ e 0 2
 e 1 3
 e 2 3
 """
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -227,6 +231,8 @@ def test_verify_merges_external_tables(capsys, tmp_path):
     fields = row.split("\t")
     assert fields[1] == "21"
     assert fields[4] == "true" and fields[5] == "true"
+    golden = (DATA / "verify_max_order_15_z21.txt").read_text(encoding="utf-8")
+    assert out.replace(str(path), "{path}") == golden
 
 
 def test_verify_rejects_bad_catalog_file(capsys, tmp_path):
@@ -235,3 +241,34 @@ def test_verify_rejects_bad_catalog_file(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--catalog", str(bad))
     assert code == 2
     assert "error:" in err
+
+
+def test_verify_output_is_unchanged_at_order_60(capsys):
+    code, out, err = run(capsys, "verify", "--max-order", "60")
+    assert code == 0
+    assert err == ""
+    assert out.encode("utf-8") == (DATA / "verify_max_order_60.txt").read_bytes()
+
+
+def test_verify_notes_a_max_order_beyond_the_catalog(capsys):
+    code, out, err = run(capsys, "verify", "--max-order", "1000")
+    assert code == 0
+    assert out.encode("utf-8") == (DATA / "verify_max_order_60.txt").read_bytes()
+    assert err == "note: built-in catalog stops at order 60; 146 built-in groups used\n"
+
+
+@pytest.mark.parametrize("max_order", ["0", "-5"])
+def test_verify_rejects_a_max_order_that_selects_nothing(capsys, max_order):
+    code, out, err = run(capsys, "verify", "--max-order", max_order)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --max-order")
+
+
+def test_verify_runs_tables_alone_when_max_order_selects_nothing(capsys, tmp_path):
+    path = tmp_path / "z21.tbl"
+    path.write_text(to_cayley_table(make_cyclic(21)), encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--max-order", "0", "--catalog", str(path))
+    assert code == 0
+    assert err == ""
+    assert "THEOREM HOLDS over 1 groups" in out

@@ -1,4 +1,5 @@
 import re
+import time
 
 import pytest
 
@@ -240,6 +241,32 @@ def test_generator_map_is_surjective():
         assert generated == member_sets
         for s in subs:
             assert g.cyclic_subgroup(s.generator).members == s.members
+
+
+def test_stored_generator_is_the_least_generator():
+    """The per-element oracle: every element's cyclic subgroup appears, and
+    each stored generator is the least element generating its member set."""
+    larger = ("Z1024", "Z2xZ2xZ2xZ2xZ2xZ2xZ2", "S5", "A5", "D80", "Dic40")
+    for g in small_catalog() + [parse_group_spec(spec) for spec in larger]:
+        least = {}
+        for x in range(g.order):
+            least.setdefault(g.cyclic_subgroup(x).members, x)
+        subs = g.cyclic_subgroups()
+        assert len(subs) == len(least), g.name
+        assert {s.members: s.generator for s in subs} == least, g.name
+
+
+def test_cyclic_subgroups_walk_each_subgroup_once():
+    # Z2048 has 2048 elements but only 12 cyclic subgroups, so one power
+    # walk per subgroup costs far less than building and validating the table.
+    t0 = time.perf_counter()
+    group = parse_group_spec("Z2048")
+    parse_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    subs = group.cyclic_subgroups()
+    walk_s = time.perf_counter() - t0
+    assert len(subs) == 12
+    assert walk_s < parse_s / 10, (walk_s, parse_s)
 
 
 def test_cyclic_subgroups_are_closed():

@@ -237,3 +237,55 @@ def test_completeness_over_order_15_catalog(catalog15):
     assert report.passed
     complete = {r.name for r in report.rows if r.complete}
     assert complete == {"Z1", "Z2", "Z3", "Z5", "Z7", "Z11", "Z13"}
+
+
+# ---------------------------------------------------------------------------
+# one facts pass per group
+
+
+def test_verify_builds_each_gamma_once(monkeypatch, capsys):
+    from grouplines import verify
+    from grouplines.cli import main
+    from grouplines.groups import FiniteGroup
+
+    calls = {"build_gamma": 0, "beineke": 0, "is_cyclic": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(verify, "build_gamma", counted("build_gamma", verify.build_gamma))
+    monkeypatch.setattr(
+        verify,
+        "is_line_graph_by_beineke",
+        counted("beineke", verify.is_line_graph_by_beineke),
+    )
+    monkeypatch.setattr(
+        FiniteGroup, "is_cyclic", counted("is_cyclic", FiniteGroup.is_cyclic)
+    )
+    assert main(["verify", "--max-order", "60"]) == 0
+    capsys.readouterr()
+    assert calls["build_gamma"] == 146
+    assert calls["beineke"] == 146
+    assert calls["is_cyclic"] <= 146
+
+
+def test_verify_catalog_matches_the_three_reports(catalog15):
+    from grouplines.verify import verify_catalog
+
+    main_report, case_report, completeness = verify_catalog(catalog15)
+    assert main_report == verify_main_theorem(catalog15)
+    assert case_report == verify_case_theorems(catalog15)
+    assert completeness == check_completeness_claim(catalog15)
+    with pytest.raises(ValueError):
+        verify_catalog(())
+
+
+def test_catalog_max_order_is_the_largest_built_in_order():
+    from grouplines.catalog import CATALOG_MAX_ORDER, _spec_order
+
+    assert max(_spec_order(s) for s in catalog_specs(10**6)) == CATALOG_MAX_ORDER
+    assert catalog_specs(10**6) == catalog_specs(CATALOG_MAX_ORDER)
