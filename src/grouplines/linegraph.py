@@ -5,9 +5,9 @@ line graph it is (an edge-assignment search, polynomial by Whitney's theorem,
 whose root and edge map certify every positive answer at any size) or by
 showing that none of the nine minimal forbidden patterns occurs as an induced
 subgraph.  The nine patterns themselves are derived from scratch rather than
-hardcoded, by an oracle that matches every graph on at most 6 vertices
-against the line graphs of all small roots, independently of both
-recognizers; only the count of patterns is asserted.
+hardcoded, independently of both recognizers: the derivation scans the
+connected classes and looks each component up in one table of line-graph
+keys; only the count of patterns is asserted.
 """
 
 from __future__ import annotations
@@ -18,13 +18,13 @@ from typing import Iterator
 
 from .graphs import (
     SimpleGraph,
+    canonical_form,
     canonical_key,
     connected_components,
     enumerate_connected_by_edges,
-    enumerate_graphs,
+    enumerate_connected_graphs,
     find_induced,
     is_connected,
-    isomorphism,
     make_named,
     search_plan,
 )
@@ -89,30 +89,6 @@ def line_graph(h: SimpleGraph) -> SimpleGraph:
 
 # ---------------------------------------------------------------------------
 # root search
-
-
-@lru_cache(maxsize=None)
-def _roots_by_line_key(k: int) -> dict[tuple[int, ...], SimpleGraph]:
-    """For each line graph on k vertices, the least enumerated root with k edges."""
-    table: dict[tuple[int, ...], SimpleGraph] = {}
-    for h in enumerate_connected_by_edges(k):
-        table.setdefault(canonical_key(line_graph(h)), h)
-    return table
-
-
-def _root_by_enumeration(
-    comp: SimpleGraph,
-) -> tuple[SimpleGraph, tuple[tuple[int, int], ...]] | None:
-    root = _roots_by_line_key(comp.n).get(canonical_key(comp))
-    if root is None:
-        return None
-    image = isomorphism(line_graph(root), comp)
-    assert image is not None
-    edges = root.edges()
-    edge_map: list[tuple[int, int]] = [(-1, -1)] * comp.n
-    for idx, target in enumerate(image):
-        edge_map[target] = edges[idx]
-    return root, tuple(edge_map)
 
 
 def _root_by_assignment(
@@ -194,29 +170,19 @@ def _root_by_assignment(
     return root, tuple(edge_of[v] for v in range(k))
 
 
-def is_line_graph_by_roots(
-    g: SimpleGraph, forbidden: ForbiddenSet | None = None
-) -> Verdict:
+def is_line_graph_by_roots(g: SimpleGraph) -> Verdict:
     """Decide by building a root graph, componentwise, at any size.
 
     A disjoint union is a line graph iff each component is; the certified
-    root is then the disjoint union of component roots.  On a negative
-    answer the witness is deferred to the forbidden-pattern recognizer when
-    a ForbiddenSet is supplied.
+    root is then the disjoint union of component roots.  A negative verdict
+    carries no evidence; `is_line_graph_by_beineke` names a forbidden
+    pattern.
     """
     total = 0
     edge_map: list[tuple[int, int]] = [(-1, -1)] * g.n
     for comp_vertices in connected_components(g):
         found = _root_by_assignment(g.induced(comp_vertices))
         if found is None:
-            if forbidden is not None:
-                verdict = is_line_graph_by_beineke(g, forbidden)
-                if verdict.is_line_graph:
-                    raise RuntimeError(
-                        "recognizers disagree: root search failed but no forbidden"
-                        " pattern occurs"
-                    )
-                return verdict
             return Verdict(False)
         root, comp_map = found
         for v, (a, b) in zip(comp_vertices, comp_map):
@@ -228,34 +194,45 @@ def is_line_graph_by_roots(
     )
 
 
-def _is_line_graph_exhaustive(g: SimpleGraph) -> bool:
-    """The derivation's oracle, for graphs on at most 6 vertices: each
-    component is looked up among the line graphs of every connected graph
-    with as many edges."""
-    return all(
-        _root_by_enumeration(g.induced(cv)) is not None
-        for cv in connected_components(g)
+# ---------------------------------------------------------------------------
+# the forbidden set
+
+
+@lru_cache(maxsize=None)
+def _line_graph_keys() -> frozenset[tuple[int, ...]]:
+    """Canonical keys of every connected line graph on 1..6 vertices: a
+    connected line graph on k vertices is the line graph of a connected root
+    with k edges."""
+    return frozenset(
+        canonical_key(line_graph(h))
+        for k in range(1, 7)
+        for h in enumerate_connected_by_edges(k)
     )
 
 
-# ---------------------------------------------------------------------------
-# the forbidden set
+def _is_line_graph_exhaustive(g: SimpleGraph) -> bool:
+    """The derivation's oracle, for graphs on at most 6 vertices: each
+    component is looked up in the table of connected line-graph keys."""
+    keys = _line_graph_keys()
+    return all(canonical_key(g.induced(cv)) in keys for cv in connected_components(g))
 
 
 @lru_cache(maxsize=None)
 def derive_forbidden_set() -> ForbiddenSet:
     """Derive the nine minimal forbidden patterns from scratch.
 
-    Scans every isomorphism class on 1..6 vertices, keeps the connected
-    graphs that fail the root search, and filters for minimality (every
-    one-vertex deletion must be a line graph; line graphs are closed under
-    induced subgraphs, so single deletions suffice).  The count must come
-    out at exactly nine.
+    Scans the connected classes on 1..6 vertices and looks each component up
+    in one table of line-graph keys: it keeps the classes that are not line
+    graphs and filters for minimality (every one-vertex deletion must be a
+    line graph; line graphs are closed under induced subgraphs, so single
+    deletions suffice).  The count must come out at exactly nine.  The
+    classes come in (vertex count, canonical key) order, which the patterns
+    keep after the claw.
     """
     minimal = []
     for n in range(1, 7):
-        for g in enumerate_graphs(n):
-            if not is_connected(g) or _is_line_graph_exhaustive(g):
+        for g in enumerate_connected_graphs(n):
+            if _is_line_graph_exhaustive(g):
                 continue
             deletions_ok = all(
                 _is_line_graph_exhaustive(
@@ -265,13 +242,8 @@ def derive_forbidden_set() -> ForbiddenSet:
             )
             if deletions_ok:
                 minimal.append(g)
-    claw_key = canonical_key(make_named("K1,3"))
-    claw = [g for g in minimal if canonical_key(g) == claw_key]
-    rest = sorted(
-        (g for g in minimal if canonical_key(g) != claw_key),
-        key=lambda g: (g.n, canonical_key(g)),
-    )
-    patterns = tuple(claw + rest)
+    claw = canonical_form(make_named("K1,3"))
+    patterns = tuple(sorted(minimal, key=lambda g: g != claw))
     if len(patterns) != 9:
         raise RuntimeError(
             f"forbidden-set derivation is inconsistent: found {len(patterns)}"

@@ -199,42 +199,6 @@ def _vertices_of_order(lg: LabeledGraph, order: int) -> list[int]:
     return [i for i, lab in enumerate(lg.labels) if lab.order == order]
 
 
-def _claw_holds(lg: LabeledGraph, center: int, leaves: list[int]) -> bool:
-    if len(set([center, *leaves])) != 4:
-        return False
-    g = lg.graph
-    if not all(g.has_edge(center, leaf) for leaf in leaves):
-        return False
-    return not any(
-        g.has_edge(leaves[i], leaves[j]) for i in range(3) for j in range(i + 1, 3)
-    )
-
-
-def _claw_check(
-    case: str,
-    record: GroupRecord,
-    lg: LabeledGraph,
-    actual_line_graph: bool,
-    center: int | None,
-    leaves: list[int] | None,
-) -> CaseCheck:
-    ok = (
-        not actual_line_graph
-        and center is not None
-        and leaves is not None
-        and len(leaves) == 3
-        and _claw_holds(lg, center, leaves)
-    )
-    return CaseCheck(
-        case=case,
-        group=record.source,
-        expect_line_graph=False,
-        center_order=lg.labels[center].order if center is not None else None,
-        leaf_orders=tuple(lg.labels[v].order for v in leaves) if leaves else None,
-        ok=ok,
-    )
-
-
 def _trivial_vertex(lg: LabeledGraph) -> int:
     return _vertices_of_order(lg, 1)[0]
 
@@ -262,11 +226,9 @@ def _case_report(facts: tuple[GroupFacts, ...]) -> CaseReport:
         actual = verdict.is_line_graph
 
         if record.order_class is OrderClass.THREE_OR_MORE_PRIMES:
+            case = "three-primes"
             center = _trivial_vertex(lg)
             leaves = [min(_vertices_of_order(lg, p)) for p, _ in factors[:3]]
-            checks.append(
-                _claw_check("three-primes", record, lg, actual, center, leaves)
-            )
         elif f.is_cyclic and record.order_class in (
             OrderClass.PRIME_POWER,
             OrderClass.TWO_PRIMES_PQ,
@@ -281,7 +243,9 @@ def _case_report(facts: tuple[GroupFacts, ...]) -> CaseReport:
                     ok=actual,
                 )
             )
+            continue
         elif f.is_cyclic and record.order_class is OrderClass.TWO_PRIMES_OTHER:
+            case = "cyclic-two-primes"
             t, u = _chain_primes(factors)
             center = min(_vertices_of_order(lg, t))
             leaves = [
@@ -289,38 +253,45 @@ def _case_report(facts: tuple[GroupFacts, ...]) -> CaseReport:
                 min(_vertices_of_order(lg, t * t)),
                 min(_vertices_of_order(lg, t * u)),
             ]
-            checks.append(
-                _claw_check("cyclic-two-primes", record, lg, actual, center, leaves)
-            )
-        elif not f.is_cyclic and group.is_abelian():
-            t = _prime_with_three_subgroups(lg, factors)
-            center = _trivial_vertex(lg)
-            leaves = _vertices_of_order(lg, t)[:3]
-            checks.append(
-                _claw_check("noncyclic-abelian", record, lg, actual, center, leaves)
-            )
-        elif (
-            not group.is_abelian() and record.order_class is OrderClass.TWO_PRIMES_PQ
+        elif not f.is_cyclic and (
+            (abelian := group.is_abelian())
+            or record.order_class is OrderClass.TWO_PRIMES_PQ
         ):
+            case = "noncyclic-abelian" if abelian else "nonabelian-pq"
             t = _prime_with_three_subgroups(lg, factors)
             center = _trivial_vertex(lg)
             leaves = _vertices_of_order(lg, t)[:3]
-            checks.append(
-                _claw_check("nonabelian-pq", record, lg, actual, center, leaves)
-            )
         elif not f.predicted:
             # Remaining negatives (non-abelian prime-power or two-prime
             # orders): any induced claw will do; take the recognizer's.
+            case = "other-negative"
             center = leaves = None
-            if not actual and verdict.pattern_id == "Gamma1":
-                if check_induced_embedding(lg.graph, claw, verdict.embedding):
-                    center = verdict.embedding[claw_center]
-                    leaves = [
-                        verdict.embedding[i] for i in range(claw.n) if i != claw_center
-                    ]
-            checks.append(
-                _claw_check("other-negative", record, lg, actual, center, leaves)
+            if verdict.pattern_id == "Gamma1":
+                center = verdict.embedding[claw_center]
+                leaves = [
+                    verdict.embedding[i] for i in range(claw.n) if i != claw_center
+                ]
+        else:
+            continue
+
+        ok = False
+        center_order = leaf_orders = None
+        if center is not None:
+            embedding = list(leaves)
+            embedding.insert(claw_center, center)
+            ok = not actual and check_induced_embedding(lg.graph, claw, embedding)
+            center_order = lg.labels[center].order
+            leaf_orders = tuple(lg.labels[v].order for v in leaves)
+        checks.append(
+            CaseCheck(
+                case=case,
+                group=record.source,
+                expect_line_graph=False,
+                center_order=center_order,
+                leaf_orders=leaf_orders,
+                ok=ok,
             )
+        )
 
     return CaseReport(tuple(checks))
 
@@ -368,14 +339,6 @@ class CompletenessReport:
     def summary(self) -> str:
         word = "HOLDS" if self.passed else "FAILS"
         return f"COMPLETENESS {word} over {len(self.rows)} groups"
-
-    def to_text(self) -> str:
-        lines = [
-            "\t".join((r.name, str(r.order), _b(r.complete), _b(r.expected), _b(r.ok)))
-            for r in self.rows
-        ]
-        lines.append(self.summary())
-        return "\n".join(lines) + "\n"
 
 
 def check_completeness_claim(catalog: tuple[GroupRecord, ...]) -> CompletenessReport:

@@ -57,7 +57,7 @@ def test_criterion_1_forbidden_set_derivation():
     graphs_mod.canonical_key.cache_clear()
     graphs_mod._class_keys.cache_clear()
     graphs_mod.enumerate_connected_by_edges.cache_clear()
-    linegraph_mod._roots_by_line_key.cache_clear()
+    linegraph_mod._line_graph_keys.cache_clear()
     linegraph_mod.derive_forbidden_set.cache_clear()
 
     start = time.monotonic()

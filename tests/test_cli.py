@@ -201,6 +201,18 @@ def test_forbidden_writes_nine_patterns_and_a_manifest(capsys, tmp_path):
     assert is_isomorphic(claw, make_named("K1,3"))
 
 
+def test_forbidden_output_is_unchanged(capsys, tmp_path):
+    # Pattern labelling and order decide every witness check and verify print.
+    code, _, _ = run(capsys, "forbidden", "-o", str(tmp_path))
+    assert code == 0
+    golden = DATA / "forbidden"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        p.name for p in golden.iterdir()
+    )
+    for path in golden.iterdir():
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+
+
 # ---------------------------------------------------------------------------
 # verify
 

@@ -3,6 +3,8 @@ import time
 
 import pytest
 
+import grouplines.graphs as graphs_mod
+import grouplines.linegraph as linegraph_mod
 from grouplines.graphs import (
     SimpleGraph,
     canonical_key,
@@ -19,6 +21,8 @@ from grouplines.graphs import (
 )
 from grouplines.linegraph import (
     ForbiddenSet,
+    _is_line_graph_exhaustive,
+    _line_graph_keys,
     derive_forbidden_set,
     is_line_graph_by_beineke,
     is_line_graph_by_roots,
@@ -209,6 +213,35 @@ def test_patterns_are_minimal():
             assert is_line_graph_by_roots(rest).is_line_graph
 
 
+def test_exhaustive_oracle_agrees_with_the_root_search():
+    checked = 0
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            by_roots = is_line_graph_by_roots(g).is_line_graph
+            assert _is_line_graph_exhaustive(g) == by_roots
+            checked += 1
+    assert checked == 208
+
+
+def test_line_graph_key_table_counts_connected_line_graphs():
+    # OEIS A022562: connected line graphs on n vertices.
+    counts = [0] * 7
+    for key in _line_graph_keys():
+        counts[key[0]] += 1
+    assert counts[1:] == [1, 1, 2, 5, 12, 30]
+
+
+def test_cold_derivation_canonicalises_only_what_it_needs():
+    # Clear every cache the derivation leans on, as in acceptance criterion 1.
+    graphs_mod.canonical_key.cache_clear()
+    graphs_mod._class_keys.cache_clear()
+    graphs_mod.enumerate_connected_by_edges.cache_clear()
+    linegraph_mod._line_graph_keys.cache_clear()
+    linegraph_mod.derive_forbidden_set.cache_clear()
+    derive_forbidden_set()
+    assert graphs_mod.canonical_key.cache_info().misses <= 1019
+
+
 def test_forbidden_set_validates_its_shape():
     f = derive_forbidden_set()
     with pytest.raises(ValueError):
@@ -250,14 +283,6 @@ def test_declared_line_graphs_are_claw_free():
         for g in enumerate_graphs(n):
             if is_line_graph_by_beineke(g, f).is_line_graph:
                 assert find_induced(g, claw) is None
-
-
-def test_roots_negative_verdict_defers_to_pattern_evidence():
-    f = derive_forbidden_set()
-    verdict = is_line_graph_by_roots(make_named("K1,3"), f)
-    assert not verdict.is_line_graph
-    assert verdict.pattern_id == "Gamma1"
-    assert verdict.embedding is not None
 
 
 def test_claw_embeds_in_the_gamma_of_z12():
