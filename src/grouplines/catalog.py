@@ -28,7 +28,8 @@ from .groups import (
     make_symmetric,
 )
 
-_ATOM = re.compile(r"(Dic|Z|D|S|A)(\d+)")
+# ASCII digits only: \d would also take other Unicode digits, which int() reads.
+_ATOM = re.compile(r"(Dic|Z|D|S|A)([0-9]+)")
 
 # Cost guard: the largest group order a spec may build.  Table building is
 # quadratic in the order and validation adds a log factor (Z2048 takes about
@@ -148,22 +149,16 @@ def catalog_specs(max_order: int = CATALOG_MAX_ORDER) -> tuple[str, ...]:
     cyclic to 60, two-factor products to 48, dihedral to D24, dicyclic to
     Dic12, plus S4 and A5.
     """
-    entries: list[tuple[int, str]] = []
-    for source in SMALL_GROUP_SPECS:
-        entries.append((_spec_order(source), source))
-    for n in range(16, CATALOG_MAX_ORDER + 1):
-        entries.append((n, f"Z{n}"))
-    for m in range(2, 7):
-        for k in range(m, 49):
-            if 15 < m * k <= 48:
-                entries.append((m * k, f"Z{m}xZ{k}"))
-    for n in range(8, 25):
-        entries.append((2 * n, f"D{n}"))
-    for n in range(4, 13):
-        entries.append((4 * n, f"Dic{n}"))
-    entries.append((24, "S4"))
-    entries.append((60, "A5"))
-    entries.sort()
+    specs = [
+        *SMALL_GROUP_SPECS,
+        *(f"Z{n}" for n in range(16, CATALOG_MAX_ORDER + 1)),
+        *(f"Z{m}xZ{k}" for m in range(2, 7) for k in range(m, 49) if 15 < m * k <= 48),
+        *(f"D{n}" for n in range(8, 25)),
+        *(f"Dic{n}" for n in range(4, 13)),
+        "S4",
+        "A5",
+    ]
+    entries = sorted((_spec_order(source), source) for source in specs)
     return tuple(source for order, source in entries if order <= max_order)
 
 

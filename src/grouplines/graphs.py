@@ -20,7 +20,6 @@ from typing import Iterable, Iterator, Sequence
 # Cost guards for the exhaustive searches.
 MAX_ENUM_VERTICES = 6
 MAX_CONNECTED_ENUM_VERTICES = 7
-MAX_ENUM_EDGES = 6
 
 
 class EnumerationLimitError(ValueError):
@@ -550,34 +549,6 @@ def enumerate_connected_graphs(n: int) -> tuple[SimpleGraph, ...]:
             f" vertices, got {n}"
         )
     return tuple(graph_from_key(k) for k in _class_keys(n, True))
-
-
-@lru_cache(maxsize=None)
-def enumerate_connected_by_edges(k: int) -> tuple[SimpleGraph, ...]:
-    """All connected isomorphism classes with exactly k edges (k <= 6).
-
-    Grown edge by edge: a connected graph with k edges arises from one with
-    k-1 edges either by joining two non-adjacent vertices or by attaching a
-    pendant vertex (delete a cycle edge or a leaf to see completeness).
-    """
-    if not 1 <= k <= MAX_ENUM_EDGES:
-        raise EnumerationLimitError(
-            f"edge-count enumeration is limited to 1..{MAX_ENUM_EDGES} edges, got {k}"
-        )
-    if k == 1:
-        return (complete_graph(2),)
-    keys = set()
-    for base in enumerate_connected_by_edges(k - 1):
-        for u in range(base.n):
-            for v in range(u + 1, base.n):
-                if not base.has_edge(u, v):
-                    adj = list(base.adj)
-                    adj[u] |= 1 << v
-                    adj[v] |= 1 << u
-                    keys.add(canonical_key(SimpleGraph(base.n, tuple(adj))))
-        for v in range(base.n):
-            keys.add(canonical_key(_extended(base, 1 << v)))
-    return tuple(graph_from_key(key) for key in sorted(keys))
 
 
 # ---------------------------------------------------------------------------

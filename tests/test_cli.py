@@ -113,6 +113,14 @@ def test_check_names_the_first_faulty_token(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("spec", ["Z٣", "D８", "Z2xZ٣"])
+def test_check_rejects_non_ascii_digits(capsys, spec):
+    # int() reads Arabic-Indic and fullwidth digits; the grammar takes ASCII only.
+    code, out, err = run(capsys, "check", spec)
+    assert code == 2 and out == ""
+    assert f"bad group spec token {spec.split('x')[-1]!r}" in err
+
+
 def test_gamma_accepts_a_valid_table_file(capsys, tmp_path):
     path = tmp_path / "z6.tbl"
     path.write_text(to_cayley_table(make_cyclic(6)), encoding="utf-8")

@@ -10,7 +10,6 @@ from grouplines.graphs import (
     canonical_key,
     check_induced_embedding,
     connected_components,
-    enumerate_connected_by_edges,
     enumerate_connected_graphs,
     enumerate_graphs,
     find_induced,
@@ -213,8 +212,6 @@ def test_enumeration_cost_guard():
         enumerate_graphs(0)
     with pytest.raises(EnumerationLimitError):
         enumerate_connected_graphs(8)
-    with pytest.raises(EnumerationLimitError):
-        enumerate_connected_by_edges(7)
 
 
 def test_enumeration_is_canonical_and_sorted():
@@ -229,19 +226,6 @@ def test_connected_enumeration_counts(n, count):
     classes = enumerate_connected_graphs(n)
     assert len(classes) == count
     assert all(is_connected(g) for g in classes)
-
-
-def test_edge_count_enumeration_agrees_with_vertex_enumeration():
-    # Two independent routes: grow by edges vs. filter the by-vertex classes.
-    by_vertices = {}
-    for n in range(1, 8):
-        for g in enumerate_connected_graphs(n):
-            k = g.edge_count()
-            if 1 <= k <= 6:
-                by_vertices.setdefault(k, set()).add(canonical_key(g))
-    for k in range(1, 7):
-        by_edges = {canonical_key(g) for g in enumerate_connected_by_edges(k)}
-        assert by_edges == by_vertices[k]
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,7 @@ from grouplines.graphs import (
 )
 from grouplines.linegraph import (
     ForbiddenSet,
-    _is_line_graph_exhaustive,
-    _line_graph_keys,
+    _has_krausz_cover,
     derive_forbidden_set,
     is_line_graph_by_beineke,
     is_line_graph_by_roots,
@@ -218,28 +217,41 @@ def test_exhaustive_oracle_agrees_with_the_root_search():
     for n in range(1, 7):
         for g in enumerate_graphs(n):
             by_roots = is_line_graph_by_roots(g).is_line_graph
-            assert _is_line_graph_exhaustive(g) == by_roots
+            assert _has_krausz_cover(g) == by_roots
             checked += 1
     assert checked == 208
 
 
-def test_line_graph_key_table_counts_connected_line_graphs():
+def test_krausz_cover_matches_the_definition():
+    # A connected line graph on k vertices is the line graph of a connected
+    # root with k edges, which has at most k + 1 vertices.
+    line_keys = {
+        canonical_key(line_graph(h))
+        for n in range(2, 8)
+        for h in enumerate_connected_graphs(n)
+        if h.edge_count() <= 6
+    }
+    for n in range(1, 7):
+        for g in enumerate_connected_graphs(n):
+            assert _has_krausz_cover(g) == (canonical_key(g) in line_keys)
+
+
+def test_krausz_cover_counts_connected_line_graphs():
     # OEIS A022562: connected line graphs on n vertices.
-    counts = [0] * 7
-    for key in _line_graph_keys():
-        counts[key[0]] += 1
-    assert counts[1:] == [1, 1, 2, 5, 12, 30]
+    counts = [
+        sum(_has_krausz_cover(g) for g in enumerate_connected_graphs(n))
+        for n in range(1, 8)
+    ]
+    assert counts == [1, 1, 2, 5, 12, 30, 79]
 
 
 def test_cold_derivation_canonicalises_only_what_it_needs():
     # Clear every cache the derivation leans on, as in acceptance criterion 1.
     graphs_mod.canonical_key.cache_clear()
     graphs_mod._class_keys.cache_clear()
-    graphs_mod.enumerate_connected_by_edges.cache_clear()
-    linegraph_mod._line_graph_keys.cache_clear()
     linegraph_mod.derive_forbidden_set.cache_clear()
     derive_forbidden_set()
-    assert graphs_mod.canonical_key.cache_info().misses <= 1019
+    assert graphs_mod.canonical_key.cache_info().misses <= 763
 
 
 def test_forbidden_set_validates_its_shape():
