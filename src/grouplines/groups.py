@@ -367,10 +367,10 @@ def from_cayley_table(text: str, name: str = "table") -> FiniteGroup:
     head = lines[0].split()
     if len(head) != 2 or head[0] != "order":
         raise GroupTableError(f"expected 'order <n>' header, got {lines[0]!r}")
-    try:
-        n = int(head[1])
-    except ValueError as exc:
-        raise GroupTableError(f"bad order value {head[1]!r}") from exc
+    # ASCII digits only: int() would also read other Unicode digits.
+    if not (head[1].isascii() and head[1].isdigit()):
+        raise GroupTableError(f"bad order value {head[1]!r}")
+    n = int(head[1])
     if n < 1:
         raise GroupTableError(f"order must be >= 1, got {n}")
     if len(lines) - 1 != n:
@@ -380,11 +380,10 @@ def from_cayley_table(text: str, name: str = "table") -> FiniteGroup:
         parts = ln.split()
         if len(parts) != n:
             raise GroupTableError(f"row {i} has {len(parts)} entries, expected {n}")
-        try:
-            row = tuple(int(p) for p in parts)
-        except ValueError as exc:
-            raise GroupTableError(f"row {i} contains a non-integer entry") from exc
-        table.append(row)
+        for p in parts:
+            if not (p.isascii() and p.isdigit()):
+                raise GroupTableError(f"row {i} has a bad entry {p!r}")
+        table.append(tuple(map(int, parts)))
     return FiniteGroup(name, tuple(table), tuple(str(i) for i in range(n)))
 
 

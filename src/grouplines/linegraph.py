@@ -5,9 +5,14 @@ line graph it is (an edge-assignment search, polynomial by Whitney's theorem,
 whose root and edge map certify every positive answer at any size) or by
 showing that none of the nine minimal forbidden patterns occurs as an induced
 subgraph.  The nine patterns themselves are derived from scratch rather than
-hardcoded, independently of both recognizers: the derivation scans the
-connected classes with Krausz's clique-cover test, which needs no root
-graphs; only the count of patterns is asserted.
+hardcoded, independently of both recognizers, with Krausz's clique-cover
+test, which needs no root graphs.  The derivation grows connected line
+graphs one vertex at a time: a minimal non-line graph g is connected, so it
+has a non-cut vertex v, and g - v is a connected line graph by minimality.
+Deleting a non-cut vertex of a connected line graph leaves a connected line
+graph too, so every pattern, and every connected line graph of the next
+level, is a one-vertex extension of a connected line graph.  Only the count
+of patterns is asserted.
 """
 
 from __future__ import annotations
@@ -18,11 +23,10 @@ from typing import Iterator, Sequence
 
 from .graphs import (
     SimpleGraph,
-    canonical_form,
     canonical_key,
     connected_components,
-    enumerate_connected_graphs,
     find_induced,
+    graph_from_key,
     is_connected,
     make_named,
     search_plan,
@@ -197,10 +201,12 @@ def is_line_graph_by_roots(g: SimpleGraph) -> Verdict:
 # the forbidden set
 
 
-def _has_krausz_cover(g: SimpleGraph) -> bool:
-    """Krausz's test (Mat. Fiz. Lapok 50, 1943), the derivation's oracle: g
-    is a line graph iff its edges split into cliques with every vertex in at
-    most two of them.  Exponential, and meant for small graphs.
+def _has_krausz_cover(adj: Sequence[int]) -> bool:
+    """Krausz's test (Mat. Fiz. Lapok 50, 1943), the derivation's oracle: the
+    graph with neighbour masks adj is a line graph iff its edges split into
+    cliques with every vertex in at most two of them.  Exponential, and meant
+    for small graphs.  Isolated vertices do not matter, so a vertex deletion
+    can be tested by zeroing the vertex's bits.
 
     Backtracks over bitmasks: the lowest uncovered edge uv goes into one of
     the cliques through uv whose edges are all uncovered and whose vertices
@@ -219,10 +225,12 @@ def _has_krausz_cover(g: SimpleGraph) -> bool:
     def cover(rest: Sequence[int], once: int, twice: int) -> bool:
         # rest holds the uncovered edges as neighbour masks; once and twice
         # are the vertices in at least one and in two chosen cliques.
-        u = next((x for x, mask in enumerate(rest) if mask), None)
-        if u is None:
+        for u, mask in enumerate(rest):
+            if mask:
+                break
+        else:
             return True
-        v = (rest[u] & -rest[u]).bit_length() - 1
+        v = (mask & -mask).bit_length() - 1
         if (twice >> u | twice >> v) & 1:
             return False
         for c in cliques(rest, 1 << u | 1 << v, rest[u] & rest[v] & ~twice):
@@ -233,38 +241,68 @@ def _has_krausz_cover(g: SimpleGraph) -> bool:
                 return True
         return False
 
-    return cover(g.adj, 0, 0)
+    return cover(adj, 0, 0)
+
+
+def _grown_levels(
+    top: int,
+) -> Iterator[tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]]:
+    """Canonical keys, for n = 1..top in turn, of the connected line graphs
+    on n vertices and of the minimal non-line graphs on n vertices.
+
+    Level n extends each connected line graph on n - 1 vertices by a new
+    vertex with a non-zero neighbour mask and decides each extension with
+    Krausz's test.  A non-line extension is minimal when deleting any old
+    vertex leaves a line graph; deleting the new vertex leaves the base.
+    The line graphs on `top` vertices are not canonicalised, as no level
+    grows from them, so that level yields none.
+    """
+    level: tuple[tuple[int, ...], ...] = ((1,),)
+    yield level, ()
+    for n in range(2, top + 1):
+        lines, minimal = set(), set()
+        new = 1 << (n - 1)
+        for key in level:
+            base = graph_from_key(key).adj
+            for mask in range(1, new):
+                adj = [m | new if mask >> v & 1 else m for v, m in enumerate(base)]
+                adj.append(mask)
+                if _has_krausz_cover(adj):
+                    if n < top:
+                        lines.add(canonical_key(SimpleGraph(n, tuple(adj))))
+                elif all(
+                    _has_krausz_cover(
+                        [0 if u == v else m & ~(1 << v) for u, m in enumerate(adj)]
+                    )
+                    for v in range(n - 1)
+                ):
+                    minimal.add(canonical_key(SimpleGraph(n, tuple(adj))))
+        level = tuple(sorted(lines))
+        yield level, tuple(sorted(minimal))
 
 
 @lru_cache(maxsize=None)
 def derive_forbidden_set() -> ForbiddenSet:
     """Derive the nine minimal forbidden patterns from scratch.
 
-    Scans the connected classes on 1..6 vertices with Krausz's test: it
-    keeps the classes that are not line graphs and filters for minimality
-    (every one-vertex deletion must be a line graph; line graphs are closed
-    under induced subgraphs, so single deletions suffice).  The count must
-    come out at exactly nine.  The classes come in (vertex count, canonical
-    key) order, which the patterns keep after the claw.
+    Grows the connected line graphs on 1..5 vertices one vertex at a time
+    (`_grown_levels`) and keeps each one-vertex extension, on up to 6
+    vertices, that fails Krausz's test while every deletion of one of its
+    vertices passes it (line graphs are closed under induced subgraphs, so
+    single deletions suffice).  No pattern is missed: a minimal non-line
+    graph is connected and has a non-cut vertex, whose deletion leaves a
+    connected line graph.  The count must come out at exactly nine.  The
+    patterns come in (vertex count, canonical key) order, claw first.
     """
-    minimal = []
-    for n in range(1, 7):
-        for g in enumerate_connected_graphs(n):
-            if _has_krausz_cover(g):
-                continue
-            deletions_ok = all(
-                _has_krausz_cover(g.induced([u for u in range(g.n) if u != v]))
-                for v in range(g.n)
-            )
-            if deletions_ok:
-                minimal.append(g)
-    claw = canonical_form(make_named("K1,3"))
-    patterns = tuple(sorted(minimal, key=lambda g: g != claw))
-    if len(patterns) != 9:
+    claw = canonical_key(make_named("K1,3"))
+    keys = [key for _, minimal in _grown_levels(6) for key in minimal]
+    keys.sort(key=lambda key: key != claw)
+    if len(keys) != 9:
         raise RuntimeError(
-            f"forbidden-set derivation is inconsistent: found {len(patterns)}"
+            f"forbidden-set derivation is inconsistent: found {len(keys)}"
             " minimal non-line graphs, expected 9"
         )
+    patterns = tuple(graph_from_key(key) for key in keys)
     # Compile the scan plans here, so a process that forks after set-up
     # never compiles them again.
     for pattern in patterns:

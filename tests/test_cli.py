@@ -121,6 +121,25 @@ def test_check_rejects_non_ascii_digits(capsys, spec):
     assert f"bad group spec token {spec.split('x')[-1]!r}" in err
 
 
+@pytest.mark.parametrize(
+    "text, token",
+    [
+        ("order \u0662\n0 1\n1 0\n", "bad order value '\u0662'"),
+        ("order 2\n0 \u0661\n1 0\n", "row 0 has a bad entry '\u0661'"),
+        ("order 2\n0 1\n1 -0\n", "row 1 has a bad entry '-0'"),
+    ],
+    ids=["order", "entry", "sign"],
+)
+def test_check_takes_only_ascii_digits_in_table_files(capsys, tmp_path, text, token):
+    # int() reads Arabic-Indic digits and signs; table files take ASCII digits only.
+    path = tmp_path / "z2.tbl"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "check", f"file:{path}")
+    assert code == 2 and out == ""
+    assert token in err
+    assert "Traceback" not in err
+
+
 def test_gamma_accepts_a_valid_table_file(capsys, tmp_path):
     path = tmp_path / "z6.tbl"
     path.write_text(to_cayley_table(make_cyclic(6)), encoding="utf-8")

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -244,3 +245,31 @@ def test_graph_text_rejects_garbage():
         parse_graph_text("n 2\ne 0 5\n")
     with pytest.raises(ValueError):
         parse_graph_text("n 2\nx 0 1\n")
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("n 3\ne 0 x\n", "e 0 x"),
+        ("n -1\n", "n -1"),
+        ("n 3 4\n", "n 3 4"),
+        ("n 3\ne 0 1 2\n", "e 0 1 2"),
+        ("n 3\ne 0 5\n", "e 0 5"),
+        ("n 3\ne 1 1\n", "e 1 1"),
+        ("n \u0663\n", "n \u0663"),  # Arabic-Indic 3, which int() reads
+        ("n 3\ne 0 \uff12\n", "e 0 \uff12"),  # fullwidth 2
+    ],
+    ids=[
+        "edge-token",
+        "negative-count",
+        "extra-count-token",
+        "extra-edge-token",
+        "edge-out-of-range",
+        "self-loop",
+        "non-ascii-count",
+        "non-ascii-edge",
+    ],
+)
+def test_graph_text_errors_name_the_offending_line(text, line):
+    with pytest.raises(ValueError, match=re.escape(repr(line))):
+        parse_graph_text(text)

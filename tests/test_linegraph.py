@@ -21,6 +21,7 @@ from grouplines.graphs import (
 )
 from grouplines.linegraph import (
     ForbiddenSet,
+    _grown_levels,
     _has_krausz_cover,
     derive_forbidden_set,
     is_line_graph_by_beineke,
@@ -217,7 +218,7 @@ def test_exhaustive_oracle_agrees_with_the_root_search():
     for n in range(1, 7):
         for g in enumerate_graphs(n):
             by_roots = is_line_graph_by_roots(g).is_line_graph
-            assert _has_krausz_cover(g) == by_roots
+            assert _has_krausz_cover(g.adj) == by_roots
             checked += 1
     assert checked == 208
 
@@ -233,16 +234,53 @@ def test_krausz_cover_matches_the_definition():
     }
     for n in range(1, 7):
         for g in enumerate_connected_graphs(n):
-            assert _has_krausz_cover(g) == (canonical_key(g) in line_keys)
+            assert _has_krausz_cover(g.adj) == (canonical_key(g) in line_keys)
 
 
 def test_krausz_cover_counts_connected_line_graphs():
     # OEIS A022562: connected line graphs on n vertices.
     counts = [
-        sum(_has_krausz_cover(g) for g in enumerate_connected_graphs(n))
+        sum(_has_krausz_cover(g.adj) for g in enumerate_connected_graphs(n))
         for n in range(1, 8)
     ]
     assert counts == [1, 1, 2, 5, 12, 30, 79]
+
+
+def _minimal_non_line_graphs_by_scan():
+    """Test oracle: scan every connected class on 1..6 vertices and keep the
+    non-line graphs whose one-vertex deletions are all line graphs, in
+    (vertex count, canonical key) order with the claw first."""
+    minimal = []
+    for n in range(1, 7):
+        for g in enumerate_connected_graphs(n):
+            if _has_krausz_cover(g.adj):
+                continue
+            if all(
+                _has_krausz_cover(g.induced([u for u in range(g.n) if u != v]).adj)
+                for v in range(g.n)
+            ):
+                minimal.append(g)
+    claw = canonical_key(make_named("K1,3"))
+    return sorted(minimal, key=lambda g: canonical_key(g) != claw)
+
+
+def test_derivation_matches_the_exhaustive_scan():
+    patterns = derive_forbidden_set().patterns
+    assert list(patterns) == _minimal_non_line_graphs_by_scan()
+
+
+def test_grown_levels_are_the_connected_line_graphs():
+    levels = list(_grown_levels(6))
+    lines = [keys for keys, _ in levels]
+    assert [len(keys) for keys in lines] == [1, 1, 2, 5, 12, 0]
+    for n, keys in enumerate(lines[:5], start=1):
+        expected = [
+            canonical_key(g)
+            for g in enumerate_connected_graphs(n)
+            if _has_krausz_cover(g.adj)
+        ]
+        assert list(keys) == expected
+    assert [len(minimal) for _, minimal in levels] == [0, 0, 0, 1, 2, 6]
 
 
 def test_cold_derivation_canonicalises_only_what_it_needs():
@@ -251,7 +289,7 @@ def test_cold_derivation_canonicalises_only_what_it_needs():
     graphs_mod._class_keys.cache_clear()
     linegraph_mod.derive_forbidden_set.cache_clear()
     derive_forbidden_set()
-    assert graphs_mod.canonical_key.cache_info().misses <= 763
+    assert graphs_mod.canonical_key.cache_info().misses <= 103
 
 
 def test_forbidden_set_validates_its_shape():
