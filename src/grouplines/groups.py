@@ -1,14 +1,25 @@
 """Finite groups as validated Cayley tables.
 
-Element 0 is always the identity.  Construction validates the full set of
-group axioms (identity row/column, Latin square, associativity; inverses
-follow from the Latin square, as every row and column contains 0), so a
-`FiniteGroup` that exists is a group.  Associativity is decided by
-Light's test (Clifford & Preston, The Algebraic Theory of Semigroups I,
-1961, section 1.2): `(x*a)*y = x*(a*y)` is checked only for `a` in a
-generating set of at most log2(n) elements, so validating an order-n table
-costs O(n^2 log n) rather than O(n^3).  All values are immutable and the
-operations are pure, so instances can be shared freely across threads.
+Element 0 is always the identity.  Construction checks that the table is a
+group, so a `FiniteGroup` that exists is a group.  A valid table costs one
+set test per row plus Light's test, in this order:
+
+1. every row is a permutation of 0..n-1;
+2. row 0 and column 0 are the identity;
+3. associativity, by Light's test (Clifford & Preston, The Algebraic Theory
+   of Semigroups I, 1961, section 1.2): `(x*a)*y = x*(a*y)` is checked only
+   for `a` in a generating set of at most log2(n) elements, so validating an
+   order-n table costs O(n^2 log n) rather than O(n^3).
+
+The columns get no pass of their own: a finite monoid whose rows are
+permutations has a right inverse for every element, so it is a group and its
+columns are permutations too.  They are checked only once a table has
+failed, so that a repeated column entry is still reported ahead of an
+identity or associativity fault.  The rows must come before Light's test:
+its log2(n) bound needs them, and the monoid with identity 0 and every other
+product 1 would otherwise need n - 1 generators and cubic time.  All values
+are immutable and the operations are pure, so instances can be shared
+freely across threads.
 """
 
 from __future__ import annotations
@@ -29,20 +40,17 @@ def _validate_table(table: tuple[tuple[int, ...], ...]) -> None:
     n = len(table)
     if n == 0:
         raise GroupTableError("a group needs at least the identity element")
-    for i, row in enumerate(table):
-        if len(row) != n:
-            raise GroupTableError(f"row {i} has {len(row)} entries, expected {n}")
-        if min(row) < 0 or max(row) >= n:
-            j, x = next((j, x) for j, x in enumerate(row) if not 0 <= x < n)
-            raise GroupTableError(f"entry ({i},{j}) = {x} is outside [0,{n})")
-    for i, row in enumerate(table):
-        if len(set(row)) != n:
-            raise GroupTableError(f"row {i} is not a permutation (Latin square violated)")
-    for j, column in enumerate(zip(*table)):
-        if len(set(column)) != n:
-            raise GroupTableError(f"column {j} is not a permutation (Latin square violated)")
+    # Rows first: one set test per row covers its length, its range and the
+    # Latin property.  Only a failing table pays for the diagnostic loops,
+    # which name the first fault in the order length/range, then Latin rows.
+    values = set(range(n))
+    for row in table:
+        if len(row) != n or set(row) != values:
+            _check_rows(table)
+            break
     identity = tuple(range(n))
     if table[0] != identity or tuple(row[0] for row in table) != identity:
+        _check_columns(table)
         for j in range(n):
             if table[0][j] != j:
                 raise GroupTableError(f"element 0 is not the identity: 0*{j} = {table[0][j]}")
@@ -53,6 +61,9 @@ def _validate_table(table: tuple[tuple[int, ...], ...]) -> None:
     # table suffices.  While every generator so far passes, the elements they
     # reach form a subloop that at least doubles with each new generator, so
     # at most floor(log2 n) generators are checked: n*log2(n) row compositions.
+    # That bound needs the rows to be permutations, which is why the row
+    # check comes first: the table with identity 0 and every other product 1
+    # is a monoid that needs n - 1 generators, which would make this cubic.
     # The trivial table has no generators, so itemgetter always gets two or
     # more indices and returns a tuple.
     for a in _generators(table):
@@ -61,13 +72,40 @@ def _validate_table(table: tuple[tuple[int, ...], ...]) -> None:
             lhs = table[row[a]]
             rhs = compose(row)
             if lhs != rhs:
+                _check_columns(table)
                 y = next(y for y in range(n) if lhs[y] != rhs[y])
                 raise GroupTableError(
                     f"associativity fails at ({x},{a},{y}):"
                     f" ({x}*{a})*{y} = {lhs[y]} but {x}*({a}*{y}) = {rhs[y]}"
                 )
-    # Inverses need no check: every row is a permutation of 0..n-1, so each
-    # element has a right inverse, and a left one by the column check.
+    # The columns need no pass of their own: the table is now a finite
+    # monoid whose rows are permutations, so every element has a right
+    # inverse, the monoid is a group and its columns are permutations too.
+    # A column fault only decides the message, so it is looked for above,
+    # before an identity or associativity fault is reported.
+
+
+def _check_rows(table: tuple[tuple[int, ...], ...]) -> None:
+    """Raise for the first row fault: a bad length or an entry outside
+    [0,n) in any row, then a row that is not a permutation."""
+    n = len(table)
+    for i, row in enumerate(table):
+        if len(row) != n:
+            raise GroupTableError(f"row {i} has {len(row)} entries, expected {n}")
+        if min(row) < 0 or max(row) >= n:
+            j, x = next((j, x) for j, x in enumerate(row) if not 0 <= x < n)
+            raise GroupTableError(f"entry ({i},{j}) = {x} is outside [0,{n})")
+    for i, row in enumerate(table):
+        if len(set(row)) != n:
+            raise GroupTableError(f"row {i} is not a permutation (Latin square violated)")
+
+
+def _check_columns(table: tuple[tuple[int, ...], ...]) -> None:
+    """Raise if a column of a table with Latin rows repeats an entry."""
+    n = len(table)
+    for j, column in enumerate(zip(*table)):
+        if len(set(column)) != n:
+            raise GroupTableError(f"column {j} is not a permutation (Latin square violated)")
 
 
 def _generators(table: tuple[tuple[int, ...], ...]) -> Iterator[int]:
@@ -208,12 +246,8 @@ class FiniteGroup:
         return tuple(subs)
 
     def is_abelian(self) -> bool:
-        n = self.order
-        return all(
-            self.table[i][j] == self.table[j][i]
-            for i in range(n)
-            for j in range(i + 1, n)
-        )
+        """The table equals its transpose."""
+        return self.table == tuple(zip(*self.table))
 
     def is_cyclic(self) -> bool:
         return any(self.element_order(g) == self.order for g in range(self.order))

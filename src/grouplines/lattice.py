@@ -41,16 +41,20 @@ def build_gamma(group: FiniteGroup) -> LabeledGraph:
     Vertices are sorted by (subgroup order, member tuple) so output is
     deterministic.  Every subgroup of a cyclic group D is cyclic, one for
     each divisor of |D|, so D covers a cyclic subgroup C exactly when |D|/|C|
-    is prime and the generator of C lies in D.
+    is prime and the generator of C lies in D.  Each |D| divides |G|, so
+    its primes are read off the one factorization of |G|.
     """
     subs = group.cyclic_subgroups()
     by_order: dict[int, list[int]] = {}
     for i, s in enumerate(subs):
         by_order.setdefault(s.order, []).append(i)
+    primes = [p for p, _ in factorize(group.order).factors]
     edges = []
     for j, large in enumerate(subs):
         members = set(large.members)
-        for p, _ in factorize(large.order).factors:
+        for p in primes:
+            if large.order % p:
+                continue
             for i in by_order[large.order // p]:
                 if subs[i].generator in members:
                     edges.append((i, j))

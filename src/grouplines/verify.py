@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .catalog import GroupRecord
 from .graphs import check_induced_embedding
 from .groups import FiniteGroup, OrderClass, classify_order, factorize
-from .lattice import LabeledGraph, build_gamma, gamma_stats
+from .lattice import LabeledGraph, build_gamma
 from .linegraph import Verdict, derive_forbidden_set, is_line_graph_by_beineke
 
 _LINE_GRAPH_CLASSES = frozenset(
@@ -354,12 +354,12 @@ def _completeness_report(facts: tuple[GroupFacts, ...]) -> CompletenessReport:
         expected = record.group.order == 1 or (
             len(factors) == 1 and factors[0][1] == 1
         )
-        stats = gamma_stats(f.gamma)
+        g = f.gamma.graph
         rows.append(
             CompletenessRow(
                 name=record.source,
                 order=record.group.order,
-                complete=stats.is_complete,
+                complete=g.edge_count() == g.n * (g.n - 1) // 2,
                 expected=expected,
             )
         )

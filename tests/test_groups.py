@@ -1,8 +1,11 @@
+import operator
+import random
 import re
 import time
 
 import pytest
 
+from grouplines import groups
 from grouplines.catalog import build_catalog, parse_group_spec
 from grouplines.groups import (
     Factorization,
@@ -429,3 +432,159 @@ def test_generators_halve_the_remaining_work():
     for g in groups:
         gens = list(_generators(g.table))
         assert len(gens) <= g.order.bit_length() - 1, (g.name, gens)
+
+
+# ---------------------------------------------------------------------------
+# validation order: rows, identity, Light's test, columns only on failure
+
+
+def previous_validate_table(table):
+    """Test-only oracle: the validator that checked range, Latin rows, Latin
+    columns, identity and associativity, each in a full pass, in that order."""
+    n = len(table)
+    if n == 0:
+        raise GroupTableError("a group needs at least the identity element")
+    for i, row in enumerate(table):
+        if len(row) != n:
+            raise GroupTableError(f"row {i} has {len(row)} entries, expected {n}")
+        if min(row) < 0 or max(row) >= n:
+            j, x = next((j, x) for j, x in enumerate(row) if not 0 <= x < n)
+            raise GroupTableError(f"entry ({i},{j}) = {x} is outside [0,{n})")
+    for i, row in enumerate(table):
+        if len(set(row)) != n:
+            raise GroupTableError(f"row {i} is not a permutation (Latin square violated)")
+    for j, column in enumerate(zip(*table)):
+        if len(set(column)) != n:
+            raise GroupTableError(f"column {j} is not a permutation (Latin square violated)")
+    identity = tuple(range(n))
+    if table[0] != identity or tuple(row[0] for row in table) != identity:
+        for j in range(n):
+            if table[0][j] != j:
+                raise GroupTableError(f"element 0 is not the identity: 0*{j} = {table[0][j]}")
+            if table[j][0] != j:
+                raise GroupTableError(f"element 0 is not the identity: {j}*0 = {table[j][0]}")
+    for a in _generators(table):
+        compose = operator.itemgetter(*table[a])
+        for x, row in enumerate(table):
+            lhs = table[row[a]]
+            rhs = compose(row)
+            if lhs != rhs:
+                y = next(y for y in range(n) if lhs[y] != rhs[y])
+                raise GroupTableError(
+                    f"associativity fails at ({x},{a},{y}):"
+                    f" ({x}*{a})*{y} = {lhs[y]} but {x}*({a}*{y}) = {rhs[y]}"
+                )
+
+
+def validation_outcome(validate, table):
+    """None when `validate` accepts the table, else its error message."""
+    try:
+        validate(table)
+    except GroupTableError as exc:
+        return str(exc)
+    return None
+
+
+def relabelled(table, perm):
+    """The table of the same operation with element x renamed perm[x]."""
+    n = len(table)
+    out = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            out[perm[a]][perm[b]] = perm[table[a][b]]
+    return out
+
+
+def mutated_tables(rng):
+    """Seeded faults in relabelled small-catalog tables: one cell set to a
+    random entry, two cells of a row swapped, two rows swapped, an
+    out-of-range entry and a short row.  Half the relabellings keep 0 as the
+    identity."""
+    for g in small_catalog():
+        n = g.order
+        for trial in range(40):
+            rest = rng.sample(range(1, n), n - 1)
+            perm = [0] + rest if trial % 2 else rng.sample(range(n), n)
+            base = relabelled(g.table, perm)
+            yield tuple(map(tuple, base))
+            i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+            rows = [list(row) for row in base]
+            rows[i][j] = rng.randrange(n)
+            yield tuple(map(tuple, rows))
+            rows = [list(row) for row in base]
+            rows[i][j], rows[i][k] = rows[i][k], rows[i][j]
+            yield tuple(map(tuple, rows))
+            rows = [list(row) for row in base]
+            rows[i], rows[k] = rows[k], rows[i]
+            yield tuple(map(tuple, rows))
+            for bad in (-1, n, n + 3):
+                rows = [list(row) for row in base]
+                rows[i][j] = bad
+                yield tuple(map(tuple, rows))
+            rows = [list(row) for row in base]
+            rows[i].pop(rng.randrange(n))
+            yield tuple(map(tuple, rows))
+
+
+def tables_with_identity(rng, count, latin_rows):
+    """Random tables with identity 0; the other entries are arbitrary, or
+    each row is a random permutation when `latin_rows` is set."""
+    for _ in range(count):
+        n = rng.randint(1, 8)
+        table = [tuple(range(n))]
+        for i in range(1, n):
+            if latin_rows:
+                rest = [x for x in range(n) if x != i]
+                rng.shuffle(rest)
+                table.append((i, *rest))
+            else:
+                table.append((i, *(rng.randrange(n) for _ in range(n - 1))))
+        yield tuple(table)
+
+
+def test_validation_matches_the_previous_validator():
+    rng = random.Random(2024)
+    tables = [t for n in range(1, 6) for t in reduced_latin_squares(n)]
+    tables += mutated_tables(rng)
+    tables += tables_with_identity(rng, 3000, latin_rows=False)
+    tables += tables_with_identity(rng, 3000, latin_rows=True)
+    mismatches = [
+        (table, expected, got)
+        for table in tables
+        if (expected := validation_outcome(previous_validate_table, table))
+        != (got := validation_outcome(groups._validate_table, table))
+    ]
+    assert not mismatches, mismatches[:3]
+    # Each fault is among the cases, and so are valid tables.
+    outcomes = [validation_outcome(groups._validate_table, t) for t in tables]
+    assert None in outcomes
+    for fault in ("row 1 has", "is outside", "row 1 is not", "column 1 is not", "identity", "associativity"):
+        assert any(m is not None and fault in m for m in outcomes), fault
+
+
+def test_valid_tables_never_run_the_column_diagnostic(monkeypatch):
+    def refuse(table):
+        raise AssertionError("the column diagnostic ran on a valid table")
+
+    monkeypatch.setattr(groups, "_check_columns", refuse)
+    build_catalog(60)
+    for spec in LARGE_SPECS:
+        parse_group_spec(spec)
+
+
+def test_rows_are_checked_before_lights_test(monkeypatch):
+    """The monoid with identity 0 and every other product 1 has rows that are
+    not permutations; Light's test on it would need n - 1 generators."""
+    yielded = []
+
+    def counted(table):
+        for g in _generators(table):
+            yielded.append(g)
+            yield g
+
+    monkeypatch.setattr(groups, "_generators", counted)
+    n = 64
+    table = (tuple(range(n)),) + tuple((i,) + (1,) * (n - 1) for i in range(1, n))
+    with pytest.raises(GroupTableError, match=r"^row 1 is not a permutation"):
+        FiniteGroup("monoid", table, tuple(map(str, range(n))))
+    assert yielded == []
