@@ -5,7 +5,8 @@ Adjacency is kept as one bitmask per vertex, which makes the backtracking
 searches cheap and the value types hashable.  The induced-subgraph search
 serves hosts of any size (the cyclic subgroup graph of Z2^7 has 128
 vertices): its cost is polynomial in the host, with the pattern size as the
-exponent, and each pattern is compiled once into a `SearchPlan`.
+exponent.  The forbidden set compiles each pattern once into a `SearchPlan`,
+and `find_first_induced` builds a host's masks once per scan.
 Isomorphism, canonical forms and enumeration are exponential and meant for
 small graphs; enumeration is cost-guarded.
 """
@@ -325,48 +326,26 @@ def is_isomorphic(a: SimpleGraph, b: SimpleGraph) -> bool:
 
 @dataclass(frozen=True)
 class SearchPlan:
-    """A pattern compiled once for induced-subgraph search.
+    """A pattern compiled for induced-subgraph search.
 
     Depth d places pattern vertex `order[d]`.  Its host image must have
-    degree at least `degree[d]`, be adjacent to the images placed at the
-    depths in `adjacent[d]`, be non-adjacent to those in `non_adjacent[d]`,
-    and exceed the image placed at depth `above[d]` (-1: no bound).
-    `orbit_sizes[d]` is the size of the orbit of `order[d]` under the
-    automorphisms that fix `order[:d]`; their product is |Aut(pattern)|.
+    degree at least `degree[d]` and meet `steps[d] = (near, far, above)`:
+    be adjacent to the images placed at the depths in `near`, be
+    non-adjacent to those in `far`, and exceed the image placed at depth
+    `above` (-1: no bound).  `orbit_sizes[d]` is the size of the orbit of
+    `order[d]` under the automorphisms that fix `order[:d]`; their product
+    is |Aut(pattern)|.
     """
 
     order: tuple[int, ...]
     degree: tuple[int, ...]
-    adjacent: tuple[tuple[int, ...], ...]
-    non_adjacent: tuple[tuple[int, ...], ...]
-    above: tuple[int, ...]
+    steps: tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]
     orbit_sizes: tuple[int, ...]
 
 
 def _non_neighbours(adj: Sequence[int]) -> list[int]:
     full = (1 << len(adj)) - 1
     return [full ^ mask ^ (1 << v) for v, mask in enumerate(adj)]
-
-
-@lru_cache(maxsize=1)
-def _host_masks(host: SimpleGraph) -> tuple[Sequence[int], Sequence[int]]:
-    """Non-neighbour masks of a host, and `at_least[d]`, the mask of its
-    vertices of degree >= d for d up to max degree + 1 (the last is 0).
-
-    Kept for the last host only: a scan runs every pattern over one host in
-    a row, so the masks are built once per host rather than once per
-    pattern.  The masks are shared, so callers only read them.  Measured on
-    the recognize-lines benchmark, building the masks per pattern, or
-    holding them or the degrees in tuples, made the resident memory of a
-    30 s run creep up by 0.3-2 MiB.
-    """
-    degrees = [mask.bit_count() for mask in host.adj]
-    at_least = [0] * (max(degrees, default=0) + 2)
-    for v, d in enumerate(degrees):
-        at_least[d] |= 1 << v
-    for d in range(len(at_least) - 2, -1, -1):
-        at_least[d] |= at_least[d + 1]
-    return _non_neighbours(host.adj), at_least
 
 
 def _search(
@@ -414,7 +393,6 @@ def _search(
     return None
 
 
-@lru_cache(maxsize=128)
 def search_plan(pattern: SimpleGraph) -> SearchPlan:
     """Compile a pattern: vertex order, per-depth masks and symmetry breaking.
 
@@ -431,19 +409,19 @@ def search_plan(pattern: SimpleGraph) -> SearchPlan:
     n, adj = pattern.n, pattern.adj
     order = tuple(sorted(range(n), key=lambda v: (-pattern.degree(v), v)))
     degree = tuple(pattern.degree(v) for v in order)
-    adjacent = tuple(
-        tuple(j for j in range(d) if (adj[order[d]] >> order[j]) & 1) for d in range(n)
-    )
-    non_adjacent = tuple(
-        tuple(j for j in range(d) if not (adj[order[d]] >> order[j]) & 1)
+    plain = [
+        (
+            tuple(j for j in range(d) if (adj[order[d]] >> order[j]) & 1),
+            tuple(j for j in range(d) if not (adj[order[d]] >> order[j]) & 1),
+            -1,
+        )
         for d in range(n)
-    )
+    ]
     # An induced self-embedding is an automorphism, and automorphisms
     # preserve degree, so depth d may only take vertices of degree[d].
     same_degree = [
         sum(1 << v for v in range(n) if pattern.degree(v) == want) for want in degree
     ]
-    plain = [(near, far, -1) for near, far in zip(adjacent, non_adjacent)]
     non = _non_neighbours(adj)
     fixed = [1 << v for v in order]
     above = [-1] * n
@@ -458,39 +436,54 @@ def search_plan(pattern: SimpleGraph) -> SearchPlan:
                 above[e] = d
                 size += 1
         orbit_sizes.append(size)
-    return SearchPlan(
-        order, degree, adjacent, non_adjacent, tuple(above), tuple(orbit_sizes)
-    )
+    steps = tuple((near, far, bound) for (near, far, _), bound in zip(plain, above))
+    return SearchPlan(order, degree, steps, tuple(orbit_sizes))
+
+
+def find_first_induced(
+    host: SimpleGraph, plans: Sequence[SearchPlan]
+) -> tuple[int, tuple[int, ...]] | None:
+    """The index of the first plan whose pattern is an induced subgraph of
+    host, with its lexicographically least embedding; None if there is none.
+
+    The host's non-neighbour masks and `at_least[d]`, the mask of its
+    vertices of degree >= d, are built once and shared by every plan.  Plans
+    with more vertices than the host are skipped.  The embedding maps
+    pattern vertex p to host vertex `embedding[p]`.
+    """
+    # Lists, not tuples: held in tuples, the masks or the degrees made the
+    # resident memory of a 30 s recognize-lines run creep up by 0.3-2 MiB.
+    degrees = [mask.bit_count() for mask in host.adj]
+    at_least = [0] * (max(degrees, default=0) + 2)
+    for v, d in enumerate(degrees):
+        at_least[d] |= 1 << v
+    for d in range(len(at_least) - 2, -1, -1):
+        at_least[d] |= at_least[d + 1]
+    top = len(at_least) - 1
+    non = _non_neighbours(host.adj)
+    for index, plan in enumerate(plans):
+        if len(plan.order) > host.n:
+            continue
+        allowed = [at_least[min(want, top)] for want in plan.degree]
+        image = _search(host.adj, non, plan.steps, allowed)
+        if image is not None:
+            return index, tuple(v for _, v in sorted(zip(plan.order, image)))
+    return None
 
 
 def find_induced(host: SimpleGraph, pattern: SimpleGraph) -> tuple[int, ...] | None:
     """An injective map with pattern adjacency AND non-adjacency preserved.
 
-    Runs the pattern's compiled `search_plan`: pattern vertices are placed
-    in descending-degree order (ties by index) and host candidates are tried
-    in ascending order, so the witness is the lexicographically least
-    embedding in that order.  Lex-leader symmetry breaking prunes every
-    embedding that an automorphism of the pattern maps to a smaller one;
-    the least embedding is never pruned, so the witness is the same as a
-    search without it would return.  None when no induced copy exists.
+    Compiles the pattern's `search_plan` and runs it: pattern vertices are
+    placed in descending-degree order (ties by index) and host candidates
+    are tried in ascending order, so the witness is the lexicographically
+    least embedding in that order.  Lex-leader symmetry breaking prunes
+    every embedding that an automorphism of the pattern maps to a smaller
+    one; the least embedding is never pruned, so the witness is the same as
+    a search without it would return.  None when no induced copy exists.
     """
-    if pattern.n > host.n:
-        return None
-    plan = search_plan(pattern)
-    non, at_least = _host_masks(host)
-    top = len(at_least) - 1
-    image = _search(
-        host.adj,
-        non,
-        list(zip(plan.adjacent, plan.non_adjacent, plan.above)),
-        [at_least[min(want, top)] for want in plan.degree],
-    )
-    if image is None:
-        return None
-    out = [0] * pattern.n
-    for d, p in enumerate(plan.order):
-        out[p] = image[d]
-    return tuple(out)
+    found = find_first_induced(host, [search_plan(pattern)])
+    return None if found is None else found[1]
 
 
 def check_induced_embedding(

@@ -174,6 +174,8 @@ class FiniteGroup:
     labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        # List rows are stored as tuples; tuple() returns a tuple row as is.
+        object.__setattr__(self, "table", tuple(map(tuple, self.table)))
         _validate_table(self.table)
         if len(self.labels) != len(self.table):
             raise GroupTableError(

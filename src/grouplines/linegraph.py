@@ -17,15 +17,16 @@ of patterns is asserted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .graphs import (
+    SearchPlan,
     SimpleGraph,
     canonical_key,
     connected_components,
-    find_induced,
+    find_first_induced,
     graph_from_key,
     is_connected,
     make_named,
@@ -54,9 +55,11 @@ class Verdict:
 
 @dataclass(frozen=True)
 class ForbiddenSet:
-    """The nine minimal non-line graphs, id Gamma1 (the claw) first."""
+    """The nine minimal non-line graphs, id Gamma1 (the claw) first, each
+    compiled once into the search plan the Beineke scan runs."""
 
     patterns: tuple[SimpleGraph, ...]
+    plans: tuple[SearchPlan, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.patterns) != 9:
@@ -66,6 +69,7 @@ class ForbiddenSet:
             raise ValueError("forbidden patterns must be pairwise non-isomorphic")
         if any(not is_connected(p) for p in self.patterns):
             raise ValueError("forbidden patterns must be connected")
+        object.__setattr__(self, "plans", tuple(map(search_plan, self.patterns)))
 
     @property
     def ids(self) -> tuple[str, ...]:
@@ -302,12 +306,7 @@ def derive_forbidden_set() -> ForbiddenSet:
             f"forbidden-set derivation is inconsistent: found {len(keys)}"
             " minimal non-line graphs, expected 9"
         )
-    patterns = tuple(graph_from_key(key) for key in keys)
-    # Compile the scan plans here, so a process that forks after set-up
-    # never compiles them again.
-    for pattern in patterns:
-        search_plan(pattern)
-    return ForbiddenSet(patterns)
+    return ForbiddenSet(tuple(graph_from_key(key) for key in keys))
 
 
 def is_line_graph_by_beineke(g: SimpleGraph, forbidden: ForbiddenSet) -> Verdict:
@@ -316,8 +315,8 @@ def is_line_graph_by_beineke(g: SimpleGraph, forbidden: ForbiddenSet) -> Verdict
     Negative verdicts carry the first matching pattern id and its embedding;
     the scan order is fixed, so the evidence is deterministic.
     """
-    for pid, pattern in forbidden.items():
-        found = find_induced(g, pattern)
-        if found is not None:
-            return Verdict(False, pattern_id=pid, embedding=found)
-    return Verdict(True)
+    found = find_first_induced(g, forbidden.plans)
+    if found is None:
+        return Verdict(True)
+    index, embedding = found
+    return Verdict(False, pattern_id=forbidden.ids[index], embedding=embedding)

@@ -204,6 +204,19 @@ def test_every_positive_check_prints_a_root_of_its_gamma(capsys, monkeypatch):
     assert positives == 55
 
 
+def test_check_output_is_unchanged(capsys):
+    # Every witness and root `check` prints, byte for byte: the catalog to
+    # order 60 plus eight larger groups, one spec per line of the spec file.
+    specs = (DATA / "check_specs.txt").read_text(encoding="utf-8").splitlines()
+    assert len(specs) == 154
+    outputs = []
+    for spec in specs:
+        code, out, err = run(capsys, "check", spec)
+        assert (code, err) == (0, ""), spec
+        outputs.append(out)
+    assert "".join(outputs).encode() == (DATA / "check_outputs.txt").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # forbidden
 

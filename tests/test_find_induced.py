@@ -1,9 +1,9 @@
 """The compiled induced-subgraph search against its reference backtracker.
 
-`find_induced` runs a search plan compiled once per pattern, with lex-leader
-symmetry breaking.  `reference_find_induced` is the plain backtracker it
-replaced; both must return the identical tuple, not merely a valid one,
-because witnesses reach the CLI output.
+`find_induced` compiles a pattern into a search plan, with lex-leader
+symmetry breaking, and runs it.  `reference_find_induced` is the plain
+backtracker it replaced; both must return the identical tuple, not merely a
+valid one, because witnesses reach the CLI output.
 """
 
 import itertools
@@ -23,7 +23,12 @@ from grouplines.graphs import (
     search_plan,
 )
 from grouplines.lattice import build_gamma
-from grouplines.linegraph import derive_forbidden_set, line_graph
+from grouplines.linegraph import (
+    Verdict,
+    derive_forbidden_set,
+    is_line_graph_by_beineke,
+    line_graph,
+)
 
 
 def bits(mask):
@@ -76,12 +81,28 @@ def patterns():
 
 
 def assert_same_witnesses(hosts, patterns):
+    """Also checks that the Beineke scan, which runs the forbidden set's own
+    plans in one search per host, reports the first forbidden pattern that
+    `find_induced` finds, with the same embedding; `patterns` must hold the
+    forbidden set."""
+    forbidden = derive_forbidden_set()
+    assert forbidden.plans == tuple(search_plan(p) for p in forbidden.patterns)
     for host in hosts:
+        witnesses = {}
         for pattern in patterns:
-            got = find_induced(host, pattern)
+            got = witnesses[pattern] = find_induced(host, pattern)
             assert got == reference_find_induced(host, pattern), (host, pattern)
             if got is not None:
                 assert check_induced_embedding(host, pattern, got)
+        first = next(
+            (
+                Verdict(False, pattern_id=pid, embedding=witnesses[pattern])
+                for pid, pattern in forbidden.items()
+                if witnesses[pattern] is not None
+            ),
+            Verdict(True),
+        )
+        assert is_line_graph_by_beineke(host, forbidden) == first, host
 
 
 def test_identical_on_every_graph_up_to_six_vertices(patterns):
@@ -145,7 +166,6 @@ def test_orbit_sizes_multiply_to_the_automorphism_count():
     ids=["K10-in-K12", "edgeless-8-in-edgeless-10"],
 )
 def test_high_symmetry_patterns_compile_without_listing_automorphisms(host, pattern):
-    search_plan.cache_clear()
     start = time.monotonic()
     plan = search_plan(pattern)
     found = find_induced(host, pattern)

@@ -175,6 +175,28 @@ def test_load_rejects_bad_header_and_shape():
         from_cayley_table("order 2\n0 1\n1 7\n")
 
 
+def test_list_rows_are_read_as_tuple_rows():
+    g = FiniteGroup("x", [[0, 1], [1, 0]], ("0", "1"))
+    assert g.table == make_cyclic(2).table
+    assert g.is_abelian()
+    loop = [list(map(int, line.split())) for line in NON_ASSOCIATIVE_LOOP.splitlines()[1:]]
+    bad_tables = [
+        loop,
+        [[1, 0], [0, 1]],  # wrong identity
+        [[0, 1], [0, 0]],  # repeated row entry
+        [[0, 1, 2], [1, 2, 5], [2, 0, 1]],  # entry out of range
+        [[0, 1, 2], [1, 2]],  # short row
+        [[0, 1, 2, 3], [1, 2, 3, 0], [2, 1, 0, 3], [3, 0, 1, 2]],  # repeated column entry
+    ]
+    for rows in bad_tables:
+        labels = tuple(map(str, range(len(rows))))
+        with pytest.raises(GroupTableError) as from_tuples:
+            FiniteGroup("x", tuple(map(tuple, rows)), labels)
+        with pytest.raises(GroupTableError) as from_lists:
+            FiniteGroup("x", rows, labels)
+        assert str(from_lists.value) == str(from_tuples.value), rows
+
+
 def test_table_round_trip_s3():
     g = make_dihedral(3)
     text = to_cayley_table(g)
