@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import reduce
 from pathlib import Path
 
 from .groups import (
@@ -79,7 +78,7 @@ def parse_group_spec(spec: str) -> FiniteGroup:
     }
     _guarded(order * math.prod(table.order for table in files.values()), spec)
     groups = [files[i] if i in files else _atom(token) for i, token in enumerate(tokens)]
-    return reduce(direct_product, groups)
+    return direct_product(*groups)
 
 
 def _atom(token: str) -> FiniteGroup:
@@ -103,7 +102,8 @@ class GroupRecord:
     order_class: OrderClass
 
 
-def _record(source: str) -> GroupRecord:
+def load_record(source: str) -> GroupRecord:
+    """The catalog record of one spec string; builds and validates its table."""
     group = parse_group_spec(source)
     return GroupRecord(group, source, classify_order(factorize(group.order)))
 
@@ -204,6 +204,14 @@ def _guarded(order: int, spec: str) -> int:
     return order
 
 
+def catalog_sources(
+    max_order: int = CATALOG_MAX_ORDER, table_paths: tuple[str, ...] = ()
+) -> tuple[str, ...]:
+    """The spec strings of `build_catalog`: the built-in specs up to
+    max_order, then `file:<path>` for each table path."""
+    return (*catalog_specs(max_order), *(f"file:{path}" for path in table_paths))
+
+
 def build_catalog(
     max_order: int = CATALOG_MAX_ORDER, table_paths: tuple[str, ...] = ()
 ) -> tuple[GroupRecord, ...]:
@@ -212,7 +220,4 @@ def build_catalog(
     Loaded tables are kept regardless of max_order; the cap only filters the
     built-in families.
     """
-    records = [_record(source) for source in catalog_specs(max_order)]
-    for path in table_paths:
-        records.append(_record(f"file:{path}"))
-    return tuple(records)
+    return tuple(map(load_record, catalog_sources(max_order, table_paths)))

@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .catalog import CATALOG_MAX_ORDER, build_catalog, parse_group_spec
+from .catalog import CATALOG_MAX_ORDER, catalog_sources, parse_group_spec
 from .graphs import format_graph_text
 from .groups import GroupTableError
 from .lattice import build_gamma, to_dot, to_edge_list
@@ -20,7 +20,7 @@ from .linegraph import (
     is_line_graph_by_beineke,
     is_line_graph_by_roots,
 )
-from .verify import verify_catalog
+from .verify import verify_sources
 
 
 def cmd_gamma(args: argparse.Namespace) -> int:
@@ -62,19 +62,19 @@ def cmd_forbidden(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    catalog = build_catalog(args.max_order, tuple(args.catalog))
-    if not catalog:
+    sources = catalog_sources(args.max_order, tuple(args.catalog))
+    if not sources:
         raise ValueError(
             f"--max-order {args.max_order} selects no built-in group (the smallest"
             " has order 1) and no --catalog table was given"
         )
+    main_report, case_report, completeness = verify_sources(sources)
     if args.max_order > CATALOG_MAX_ORDER:
         print(
             f"note: built-in catalog stops at order {CATALOG_MAX_ORDER};"
-            f" {len(catalog) - len(args.catalog)} built-in groups used",
+            f" {len(sources) - len(args.catalog)} built-in groups used",
             file=sys.stderr,
         )
-    main_report, case_report, completeness = verify_catalog(catalog)
     sys.stdout.write(main_report.to_text())
     sys.stdout.write(case_report.to_text())
     sys.stdout.write(completeness.summary() + "\n")

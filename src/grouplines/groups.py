@@ -281,18 +281,25 @@ def make_cyclic(n: int) -> FiniteGroup:
     return FiniteGroup(f"Z{n}", table, tuple(str(i) for i in range(n)))
 
 
-def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
-    """Componentwise product on pairs, encoded as a*|h| + b."""
-    m = h.order
-    table = tuple(
-        tuple(x * m + y for x in grow for y in hrow)
-        for grow in g.table
-        for hrow in h.table
-    )
-    labels = tuple(
-        f"({g.labels[a]},{h.labels[b]})" for a in range(g.order) for b in range(m)
-    )
-    return FiniteGroup(f"{g.name}x{h.name}", table, labels)
+def direct_product(first: FiniteGroup, *rest: FiniteGroup) -> FiniteGroup:
+    """Componentwise product of one or more groups, taken left-associatively:
+    the pair (a, b) of a product with h is encoded as a*|h| + b.
+
+    The intermediate products are plain tables; only the final table is
+    validated.  A single factor is returned as it is.
+    """
+    if not rest:
+        return first
+    table, labels = first.table, first.labels
+    for h in rest:
+        m = h.order
+        table = tuple(
+            tuple(x * m + y for x in grow for y in hrow)
+            for grow in table
+            for hrow in h.table
+        )
+        labels = tuple(f"({a},{b})" for a in labels for b in h.labels)
+    return FiniteGroup("x".join(g.name for g in (first, *rest)), table, labels)
 
 
 def _turn(seq: tuple[int, ...], i: int) -> tuple[int, ...]:

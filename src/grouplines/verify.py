@@ -8,18 +8,25 @@ arguments are built from (claws with prescribed subgroup orders); and
 `check_completeness_claim` tests that the graph is complete exactly for the
 trivial group and groups of prime order.
 
-All three reports are read off one facts pass per group (`GroupFacts`): Γ
-is built once, and the recognizer's verdict, cyclicity and the prediction
-are computed once; every report derives its rows from these records.
-`verify_catalog` returns the three reports of one pass, as `grouplines
-verify` prints them; each of the three functions above runs its own pass.
+Each group's work is one function, `_group_rows`, from a record to its row
+of each report: Γ is built once, and the recognizer's verdict, cyclicity and
+the prediction are computed once.  `verify_catalog` returns the three
+reports of one such pass over the catalog, and each of the three functions
+above keeps the report it names.  `verify_sources`, which `grouplines
+verify` runs, also builds each group's table inside that function.  The
+groups are split over the CPUs available to the process (`fanout.fan_out`)
+and the rows put back in catalog order, so the reports do not depend on the
+number of CPUs.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from typing import Any
 
-from .catalog import GroupRecord
+from .catalog import GroupRecord, load_record
+from .fanout import fan_out
 from .graphs import check_induced_embedding
 from .groups import FiniteGroup, OrderClass, classify_order, factorize
 from .lattice import LabeledGraph, build_gamma
@@ -37,33 +44,6 @@ def predict(group: FiniteGroup) -> bool:
 
 def _predicted(is_cyclic: bool, order_class: OrderClass) -> bool:
     return is_cyclic and order_class in _LINE_GRAPH_CLASSES
-
-
-@dataclass(frozen=True)
-class GroupFacts:
-    """Everything the reports need about one catalog group."""
-
-    record: GroupRecord
-    gamma: LabeledGraph
-    verdict: Verdict
-    is_cyclic: bool
-    predicted: bool
-
-
-def _group_facts(record: GroupRecord) -> GroupFacts:
-    """Build Γ, run the recognizer and test cyclicity, once."""
-    lg = build_gamma(record.group)
-    verdict = is_line_graph_by_beineke(lg.graph, derive_forbidden_set())
-    is_cyclic = record.group.is_cyclic()
-    return GroupFacts(
-        record, lg, verdict, is_cyclic, _predicted(is_cyclic, record.order_class)
-    )
-
-
-def _catalog_facts(catalog: tuple[GroupRecord, ...]) -> tuple[GroupFacts, ...]:
-    if not catalog:
-        raise ValueError("catalog must be non-empty")
-    return tuple(_group_facts(record) for record in catalog)
 
 
 def _witness_summary(lg: LabeledGraph, verdict: Verdict) -> str:
@@ -126,24 +106,7 @@ def _b(flag: bool) -> str:
 
 def verify_main_theorem(catalog: tuple[GroupRecord, ...]) -> TheoremReport:
     """One row per group: predicted (right-hand side) vs actual (recognizer)."""
-    return _theorem_report(_catalog_facts(catalog))
-
-
-def _theorem_report(facts: tuple[GroupFacts, ...]) -> TheoremReport:
-    return TheoremReport(
-        tuple(
-            TheoremRow(
-                name=f.record.source,
-                order=f.record.group.order,
-                order_class=f.record.order_class,
-                is_cyclic=f.is_cyclic,
-                predicted=f.predicted,
-                actual=f.verdict.is_line_graph,
-                witness=_witness_summary(f.gamma, f.verdict),
-            )
-            for f in facts
-        )
-    )
+    return verify_catalog(catalog)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -212,88 +175,83 @@ def verify_case_theorems(catalog: tuple[GroupRecord, ...]) -> CaseReport:
     groups of order pq, a chain-shaped claw for cyclic two-prime orders, and
     any induced claw for the remaining negatives.
     """
-    return _case_report(_catalog_facts(catalog))
+    return verify_catalog(catalog)[1]
 
 
-def _case_report(facts: tuple[GroupFacts, ...]) -> CaseReport:
+def _case_check(
+    record: GroupRecord,
+    lg: LabeledGraph,
+    verdict: Verdict,
+    is_cyclic: bool,
+    predicted: bool,
+) -> CaseCheck | None:
+    """The check of the case whose hypothesis the group satisfies, if any."""
     claw = derive_forbidden_set().patterns[0]
     claw_center = max(range(claw.n), key=claw.degree)
-    checks = []
-    for f in facts:
-        record, lg, verdict = f.record, f.gamma, f.verdict
-        group = record.group
-        factors = factorize(group.order).factors
-        actual = verdict.is_line_graph
+    group = record.group
+    factors = factorize(group.order).factors
+    actual = verdict.is_line_graph
 
-        if record.order_class is OrderClass.THREE_OR_MORE_PRIMES:
-            case = "three-primes"
-            center = _trivial_vertex(lg)
-            leaves = [min(_vertices_of_order(lg, p)) for p, _ in factors[:3]]
-        elif f.is_cyclic and record.order_class in (
-            OrderClass.PRIME_POWER,
-            OrderClass.TWO_PRIMES_PQ,
-        ):
-            checks.append(
-                CaseCheck(
-                    case="cyclic-two-primes",
-                    group=record.source,
-                    expect_line_graph=True,
-                    center_order=None,
-                    leaf_orders=None,
-                    ok=actual,
-                )
-            )
-            continue
-        elif f.is_cyclic and record.order_class is OrderClass.TWO_PRIMES_OTHER:
-            case = "cyclic-two-primes"
-            t, u = _chain_primes(factors)
-            center = min(_vertices_of_order(lg, t))
-            leaves = [
-                _trivial_vertex(lg),
-                min(_vertices_of_order(lg, t * t)),
-                min(_vertices_of_order(lg, t * u)),
-            ]
-        elif not f.is_cyclic and (
-            (abelian := group.is_abelian())
-            or record.order_class is OrderClass.TWO_PRIMES_PQ
-        ):
-            case = "noncyclic-abelian" if abelian else "nonabelian-pq"
-            t = _prime_with_three_subgroups(lg, factors)
-            center = _trivial_vertex(lg)
-            leaves = _vertices_of_order(lg, t)[:3]
-        elif not f.predicted:
-            # Remaining negatives (non-abelian prime-power or two-prime
-            # orders): any induced claw will do; take the recognizer's.
-            case = "other-negative"
-            center = leaves = None
-            if verdict.pattern_id == "Gamma1":
-                center = verdict.embedding[claw_center]
-                leaves = [
-                    verdict.embedding[i] for i in range(claw.n) if i != claw_center
-                ]
-        else:
-            continue
-
-        ok = False
-        center_order = leaf_orders = None
-        if center is not None:
-            embedding = list(leaves)
-            embedding.insert(claw_center, center)
-            ok = not actual and check_induced_embedding(lg.graph, claw, embedding)
-            center_order = lg.labels[center].order
-            leaf_orders = tuple(lg.labels[v].order for v in leaves)
-        checks.append(
-            CaseCheck(
-                case=case,
-                group=record.source,
-                expect_line_graph=False,
-                center_order=center_order,
-                leaf_orders=leaf_orders,
-                ok=ok,
-            )
+    if record.order_class is OrderClass.THREE_OR_MORE_PRIMES:
+        case = "three-primes"
+        center = _trivial_vertex(lg)
+        leaves = [min(_vertices_of_order(lg, p)) for p, _ in factors[:3]]
+    elif is_cyclic and record.order_class in (
+        OrderClass.PRIME_POWER,
+        OrderClass.TWO_PRIMES_PQ,
+    ):
+        return CaseCheck(
+            case="cyclic-two-primes",
+            group=record.source,
+            expect_line_graph=True,
+            center_order=None,
+            leaf_orders=None,
+            ok=actual,
         )
+    elif is_cyclic and record.order_class is OrderClass.TWO_PRIMES_OTHER:
+        case = "cyclic-two-primes"
+        t, u = _chain_primes(factors)
+        center = min(_vertices_of_order(lg, t))
+        leaves = [
+            _trivial_vertex(lg),
+            min(_vertices_of_order(lg, t * t)),
+            min(_vertices_of_order(lg, t * u)),
+        ]
+    elif not is_cyclic and (
+        (abelian := group.is_abelian())
+        or record.order_class is OrderClass.TWO_PRIMES_PQ
+    ):
+        case = "noncyclic-abelian" if abelian else "nonabelian-pq"
+        t = _prime_with_three_subgroups(lg, factors)
+        center = _trivial_vertex(lg)
+        leaves = _vertices_of_order(lg, t)[:3]
+    elif not predicted:
+        # Remaining negatives (non-abelian prime-power or two-prime
+        # orders): any induced claw will do; take the recognizer's.
+        case = "other-negative"
+        center = leaves = None
+        if verdict.pattern_id == "Gamma1":
+            center = verdict.embedding[claw_center]
+            leaves = [verdict.embedding[i] for i in range(claw.n) if i != claw_center]
+    else:
+        return None
 
-    return CaseReport(tuple(checks))
+    ok = False
+    center_order = leaf_orders = None
+    if center is not None:
+        embedding = list(leaves)
+        embedding.insert(claw_center, center)
+        ok = not actual and check_induced_embedding(lg.graph, claw, embedding)
+        center_order = lg.labels[center].order
+        leaf_orders = tuple(lg.labels[v].order for v in leaves)
+    return CaseCheck(
+        case=case,
+        group=record.source,
+        expect_line_graph=False,
+        center_order=center_order,
+        leaf_orders=leaf_orders,
+        ok=ok,
+    )
 
 
 def _chain_primes(factors: tuple[tuple[int, int], ...]) -> tuple[int, int]:
@@ -343,36 +301,82 @@ class CompletenessReport:
 
 def check_completeness_claim(catalog: tuple[GroupRecord, ...]) -> CompletenessReport:
     """The graph is complete exactly for the trivial group and prime orders."""
-    return _completeness_report(_catalog_facts(catalog))
-
-
-def _completeness_report(facts: tuple[GroupFacts, ...]) -> CompletenessReport:
-    rows = []
-    for f in facts:
-        record = f.record
-        factors = factorize(record.group.order).factors
-        expected = record.group.order == 1 or (
-            len(factors) == 1 and factors[0][1] == 1
-        )
-        g = f.gamma.graph
-        rows.append(
-            CompletenessRow(
-                name=record.source,
-                order=record.group.order,
-                complete=g.edge_count() == g.n * (g.n - 1) // 2,
-                expected=expected,
-            )
-        )
-    return CompletenessReport(tuple(rows))
+    return verify_catalog(catalog)[2]
 
 
 # ---------------------------------------------------------------------------
 # all three reports
 
 
+_Rows = tuple[TheoremRow, CaseCheck | None, CompletenessRow]
+
+
+def _group_rows(record: GroupRecord) -> _Rows:
+    """One group's rows of the three reports, from one Γ and one scan.
+
+    Γ's vertices are sorted by subgroup order, so its last vertex is a
+    largest cyclic subgroup, and the group is cyclic exactly when that is
+    the whole group.
+    """
+    group = record.group
+    lg = build_gamma(group)
+    verdict = is_line_graph_by_beineke(lg.graph, derive_forbidden_set())
+    is_cyclic = lg.labels[-1].order == group.order
+    predicted = _predicted(is_cyclic, record.order_class)
+    factors = factorize(group.order).factors
+    g = lg.graph
+    return (
+        TheoremRow(
+            name=record.source,
+            order=group.order,
+            order_class=record.order_class,
+            is_cyclic=is_cyclic,
+            predicted=predicted,
+            actual=verdict.is_line_graph,
+            witness=_witness_summary(lg, verdict),
+        ),
+        _case_check(record, lg, verdict, is_cyclic, predicted),
+        CompletenessRow(
+            name=record.source,
+            order=group.order,
+            complete=g.edge_count() == g.n * (g.n - 1) // 2,
+            expected=group.order == 1 or (len(factors) == 1 and factors[0][1] == 1),
+        ),
+    )
+
+
+def _source_rows(source: str) -> _Rows:
+    return _group_rows(load_record(source))
+
+
+def _reports(
+    rows_of: Callable[[Any], _Rows], items: Sequence[Any]
+) -> tuple[TheoremReport, CaseReport, CompletenessReport]:
+    if not items:
+        raise ValueError("catalog must be non-empty")
+    # Derived before any fork, so that every worker inherits the patterns.
+    derive_forbidden_set()
+    theorem, cases, completeness = zip(*fan_out(rows_of, items))
+    return (
+        TheoremReport(theorem),
+        CaseReport(tuple(check for check in cases if check is not None)),
+        CompletenessReport(completeness),
+    )
+
+
 def verify_catalog(
     catalog: tuple[GroupRecord, ...],
 ) -> tuple[TheoremReport, CaseReport, CompletenessReport]:
-    """The main-theorem, case and completeness reports from one facts pass."""
-    facts = _catalog_facts(catalog)
-    return _theorem_report(facts), _case_report(facts), _completeness_report(facts)
+    """The main-theorem, case and completeness reports, one pass per group."""
+    return _reports(_group_rows, catalog)
+
+
+def verify_sources(
+    sources: Sequence[str],
+) -> tuple[TheoremReport, CaseReport, CompletenessReport]:
+    """`verify_catalog` over the records of the given spec strings, with each
+    table built and validated in the process that verifies its group.
+
+    When tables are bad, the error of the first in source order is raised.
+    """
+    return _reports(_source_rows, sources)

@@ -2,11 +2,13 @@ import operator
 import random
 import re
 import time
+from functools import reduce
+from pathlib import Path
 
 import pytest
 
 from grouplines import groups
-from grouplines.catalog import build_catalog, parse_group_spec
+from grouplines.catalog import _atom, build_catalog, catalog_specs, parse_group_spec
 from grouplines.groups import (
     Factorization,
     FiniteGroup,
@@ -14,6 +16,7 @@ from grouplines.groups import (
     OrderClass,
     Subgroup,
     _generators,
+    _validate_table,
     classify_order,
     direct_product,
     factorize,
@@ -26,6 +29,7 @@ from grouplines.groups import (
     make_symmetric,
     to_cayley_table,
 )
+from grouplines.lattice import build_gamma
 
 # Latin square with identity but no associativity (checked at freeze time).
 NON_ASSOCIATIVE_LOOP = """\
@@ -139,6 +143,38 @@ def test_constructed_groups_validate_up_to_order_60():
         g.validate()
         assert len(g.labels) == g.order
         assert g.element_order(0) == 1
+
+
+def _product_specs():
+    checked = (Path(__file__).parent / "data" / "check_specs.txt").read_text("utf-8")
+    specs = {*catalog_specs(60), *checked.split()}
+    return sorted(s for s in specs if "x" in s and "file:" not in s)
+
+
+def test_direct_product_of_many_factors_matches_pairwise_products():
+    specs = _product_specs()
+    assert any(s.count("x") >= 2 for s in specs)
+    for spec in specs:
+        factors = [_atom(token) for token in spec.split("x")]
+        pairwise = reduce(direct_product, factors)
+        for g in (direct_product(*factors), parse_group_spec(spec)):
+            assert g.table == pairwise.table, spec
+            assert g.labels == pairwise.labels, spec
+            assert g.name == pairwise.name == spec
+
+
+def test_a_product_validates_only_its_factors_and_itself(monkeypatch):
+    calls = []
+
+    def counted(table):
+        calls.append(len(table))
+        _validate_table(table)
+
+    monkeypatch.setattr(groups, "_validate_table", counted)
+    assert parse_group_spec("Z2xZ2xZ2xZ2xZ2xZ2xZ2").order == 128
+    assert calls == [2] * 7 + [128]
+    g = make_cyclic(5)
+    assert direct_product(g) is g
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +349,19 @@ def test_abelian_and_cyclic_predicates():
     for g in small_catalog():
         if g.is_cyclic():
             assert g.is_abelian()
+
+
+def test_gamma_reads_cyclicity_off_its_largest_subgroup():
+    """The verify pass takes a group as cyclic when Γ's last vertex, a largest
+    cyclic subgroup, is the whole group."""
+    catalog = [record.group for record in build_catalog(60)]
+    catalog += [parse_group_spec(spec) for spec in LARGE_SPECS]
+    verdicts = set()
+    for g in catalog:
+        from_gamma = build_gamma(g).labels[-1].order == g.order
+        assert from_gamma == g.is_cyclic(), g.name
+        verdicts.add(from_gamma)
+    assert verdicts == {False, True}
 
 
 # ---------------------------------------------------------------------------
