@@ -293,10 +293,16 @@ def direct_product(first: FiniteGroup, *rest: FiniteGroup) -> FiniteGroup:
     table, labels = first.table, first.labels
     for h in rest:
         m = h.order
-        table = tuple(
-            tuple(x * m + y for x in grow for y in hrow)
-            for grow in table
+        # Row (g, k) is the concatenation, over x in g's row, of h's row k
+        # shifted by x*m, which is blocks[k][x].
+        blocks = [
+            [tuple(map((x * m).__add__, hrow)) for x in range(len(table))]
             for hrow in h.table
+        ]
+        table = tuple(
+            tuple(itertools.chain.from_iterable(map(block.__getitem__, grow)))
+            for grow in table
+            for block in blocks
         )
         labels = tuple(f"({a},{b})" for a in labels for b in h.labels)
     return FiniteGroup("x".join(g.name for g in (first, *rest)), table, labels)
@@ -363,9 +369,12 @@ def _perm_group(name: str, perms: list[tuple[int, ...]]) -> FiniteGroup:
     if len(perms[0]) == 1:
         table = ((0,),)  # S1: itemgetter with one index would return a scalar
     else:
-        # p*q is p after q, read off p at the positions q lists.
-        takes = [operator.itemgetter(*q) for q in perms]
-        table = tuple(tuple(index[take(p)] for take in takes) for p in perms)
+        # p*q is p after q, read off p at the positions q lists; column q
+        # holds the index of p*q for every p.
+        columns = [
+            map(index.__getitem__, map(operator.itemgetter(*q), perms)) for q in perms
+        ]
+        table = tuple(zip(*columns))
     return FiniteGroup(name, table, tuple(_cycle_label(p) for p in perms))
 
 

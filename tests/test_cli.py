@@ -1,4 +1,10 @@
+import contextlib
+import io
+import os
+import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -324,3 +330,166 @@ def test_verify_runs_tables_alone_when_max_order_selects_nothing(capsys, tmp_pat
     assert code == 0
     assert err == ""
     assert "THEOREM HOLDS over 1 groups" in out
+
+
+# ---------------------------------------------------------------------------
+# reading the command line
+
+
+def parse_with_argparse(argv):
+    """What argparse makes of argv: its Namespace, or None where it exits."""
+    quiet = io.StringIO()
+    with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):
+        try:
+            return cli.build_parser().parse_args(argv)
+        except SystemExit:
+            return None
+
+
+OPTION_SPELLINGS = ("--format", "--max-order", "--catalog", "-o", "--out")
+OTHER_TOKENS = (
+    "gamma", "check", "forbidden", "verify", "bogus",
+    "--format=dot", "--max-order=15", "--catalog=P", "-oDIR", "--out=DIR",
+    "--form", "--max", "--cat", "--ou", "-h", "--help", "--he", "--",
+)
+VALUES = (
+    "", "-5", "-", "-h", "060", "\u0666\u0660", "1_5", " 7",
+    "x", "dot", "edges", "Z6", "15", "P", "0",
+)
+
+
+def random_argv(rng, commands):
+    """A command name, then up to four pieces: an option spelling with a
+    value, a value alone, or any other token, an option spelling included."""
+    argv = [rng.choice(commands) if rng.random() < 0.9 else rng.choice(OTHER_TOKENS)]
+    for _ in range(rng.randrange(5)):
+        r = rng.random()
+        if r < 0.5:
+            argv += [rng.choice(OPTION_SPELLINGS), rng.choice(VALUES)]
+        elif r < 0.8:
+            argv.append(rng.choice(VALUES))
+        else:
+            argv.append(rng.choice(OTHER_TOKENS + OPTION_SPELLINGS))
+    return argv
+
+
+def test_the_reader_agrees_with_argparse_on_a_random_corpus():
+    rng = random.Random(12)
+    commands = [c.name for c in cli.COMMANDS]
+    read = {name: 0 for name in commands}
+    declined = 0
+    for _ in range(3000):
+        argv = random_argv(rng, commands)
+        args = cli.read_plain(argv)
+        if args is None:
+            declined += 1
+            continue
+        assert args == parse_with_argparse(argv), argv
+        read[args.command] += 1
+    assert min(read.values()) >= 20 and declined >= 1000, (read, declined)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--max-order", "15"],
+        ["verify", "--max-order=15"],
+        ["verify", "--max", "15"],
+        ["verify", "--max-order", "-5"],
+        ["verify", "--max-order", "+5"],
+        ["verify", "--max-order", "\u0666\u0660"],
+        ["verify", "--max-order", "9" * 5000],
+        ["verify", "--max-order"],
+        ["verify", "--catalog"],
+        ["verify", "extra"],
+        ["gamma", "Z6", "--format", "svg"],
+        ["gamma", "Z6", "--format=dot"],
+        ["check"],
+        ["check", "Z6", "S3"],
+        ["check", "--", "Z6"],
+        ["check", "-h"],
+        ["check", "-5"],
+        ["forbidden"],
+        ["forbidden", "-oDIR"],
+        ["forbidden", "--out", "-"],
+        ["-h"],
+        [],
+    ],
+)
+def test_the_reader_leaves_every_other_command_line_to_argparse(argv):
+    assert cli.read_plain(argv) is None
+
+
+def plain_command_lines():
+    """The command lines the README, CI and the benchmark run."""
+    readme = [
+        ["gamma", "Z6", "--format", "edges"],
+        ["gamma", "Z2xZ2", "--format", "dot"],
+        ["check", "Z15"],
+        ["check", "S3"],
+        ["forbidden", "-o", "patterns/"],
+        ["verify", "--max-order", "15"],
+        ["verify", "--catalog", "my.tbl"],
+    ]
+    specs = (DATA / "check_specs.txt").read_text(encoding="utf-8").splitlines()
+    ci = [["verify", "--max-order", "60"], ["forbidden", "-o", "/tmp/forbidden"]]
+    ci += [["check", spec] for spec in specs]
+    ci += [["check", f"file:{t}"] for t in sorted((DATA / "bad_tables").glob("*.tbl"))]
+    bench = [
+        ["check", "Z2xZ2xZ2xZ2xZ2xZ2xZ2"],
+        ["verify", "--max-order", "60", "--catalog", "/tmp/t0.tbl", "--catalog", "/tmp/t1.tbl"],
+    ]
+    return readme + ci + bench
+
+
+def test_the_reader_reads_every_command_line_the_project_runs():
+    for argv in plain_command_lines():
+        args = cli.read_plain(argv)
+        assert args is not None, argv
+        assert args == parse_with_argparse(argv), argv
+
+
+def test_plain_command_lines_print_what_argparse_would_without_building_it(
+    capsys, tmp_path, monkeypatch
+):
+    argvs = [
+        ["check", "Z6"],
+        ["gamma", "Z6", "--format", "dot"],
+        ["forbidden", "-o", str(tmp_path)],
+        ["verify", "--max-order", "15"],
+    ]
+    expected = []
+    for argv in argvs:
+        args = cli.build_parser().parse_args(argv)
+        code = args.func(args)
+        expected.append((code, *capsys.readouterr()))
+
+    def refuse():
+        raise AssertionError("argparse was built for a plain command line")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    for argv, want in zip(argvs, expected):
+        assert run(capsys, *argv) == want, argv
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "--max-order", "15"], ["verify", "--max-order=15"], ["check", "Z6"]]
+)
+def test_a_closed_stdout_exits_141_without_a_message(argv):
+    # The read end is closed before the child starts, so its first write to
+    # stdout fails whenever it happens.
+    paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "grouplines.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_BROKEN_PIPE, b"")

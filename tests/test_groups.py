@@ -1,3 +1,4 @@
+import itertools
 import operator
 import random
 import re
@@ -175,6 +176,55 @@ def test_a_product_validates_only_its_factors_and_itself(monkeypatch):
     assert calls == [2] * 7 + [128]
     g = make_cyclic(5)
     assert direct_product(g) is g
+
+
+def product_by_cells(*factors):
+    """Test-only oracle: the product table cell by cell, (a, b) as a*|h| + b."""
+    table, labels = factors[0].table, factors[0].labels
+    for h in factors[1:]:
+        m = h.order
+        table = tuple(
+            tuple(x * m + y for x in grow for y in hrow)
+            for grow in table
+            for hrow in h.table
+        )
+        labels = tuple(f"({a},{b})" for a in labels for b in h.labels)
+    return "x".join(g.name for g in factors), table, labels
+
+
+def perm_group_by_cells(kind, n):
+    """Test-only oracle: S_n or A_n with p*q = p after q, cell by cell, its
+    permutations in lexicographic order."""
+    perms = list(itertools.permutations(range(n)))
+    if kind == "A":
+        perms = [p for p in perms if sum(a > b for a, b in itertools.combinations(p, 2)) % 2 == 0]
+    index = {p: i for i, p in enumerate(perms)}
+    table = tuple(tuple(index[tuple(p[i] for i in q)] for q in perms) for p in perms)
+    return FiniteGroup(f"{kind}{n}", table, tuple(groups._cycle_label(p) for p in perms))
+
+
+def group_by_cells(spec):
+    factors = []
+    for token in spec.split("x"):
+        kind = token[0]
+        if kind in "SA":
+            factors.append(perm_group_by_cells(kind, int(token[1:])))
+        else:
+            factors.append(_atom(token))
+    return product_by_cells(*factors)
+
+
+PERM_SPECS = ("S1", "S2", "S3", "S4", "S5", "A3", "A4", "A5")
+TRIVIAL_FACTOR_SPECS = ("Z1xZ1", "Z1xZ5", "Z5xZ1", "Z1xS3xZ1", "Z2xZ1xZ3", "Z1xD4xZ2")
+
+
+def test_table_builders_match_the_cell_by_cell_formulas():
+    checked = (Path(__file__).parent / "data" / "check_specs.txt").read_text("utf-8")
+    specs = {*catalog_specs(60), *checked.split(), *LARGE_SPECS}
+    assert not any("file:" in s for s in specs)
+    for spec in sorted(specs) + [*PERM_SPECS, *TRIVIAL_FACTOR_SPECS]:
+        g = parse_group_spec(spec)
+        assert (g.name, g.table, g.labels) == group_by_cells(spec), spec
 
 
 # ---------------------------------------------------------------------------
