@@ -1,8 +1,17 @@
-"""Finite groups as validated Cayley tables.
+"""Finite groups over the elements 0..n-1, read through a multiplication.
 
-Element 0 is always the identity.  Construction checks that the table is a
-group, so a `FiniteGroup` that exists is a group.  A valid table costs one
-set test per row plus Light's test, in this order:
+Element 0 is always the identity.  A `FiniteGroup` is read only through its
+order, `mul(x, g)` (the index of x*g) and its labels.  Cayley tables are
+kept only at the input boundary: a table passed in, as by a `file:` spec, is
+validated in full, so a table-backed `FiniteGroup` that exists is a group.
+The built-in constructors (cyclic, dihedral, dicyclic, symmetric,
+alternating and direct products) return groups backed by a multiplication
+rule instead, which builds no table.  The tests check each rule against the
+validated table it describes, and the `table` of a rule-backed group is
+built from its rule and validated on first use, so every table a group
+holds has passed validation.
+
+A valid table costs one set test per row plus Light's test, in this order:
 
 1. every row is a permutation of 0..n-1;
 2. row 0 and column 0 are the identity;
@@ -17,9 +26,10 @@ columns are permutations too.  They are checked only once a table has
 failed, so that a repeated column entry is still reported ahead of an
 identity or associativity fault.  The rows must come before Light's test:
 its log2(n) bound needs them, and the monoid with identity 0 and every other
-product 1 would otherwise need n - 1 generators and cubic time.  All values
-are immutable and the operations are pure, so instances can be shared
-freely across threads.
+product 1 would otherwise need n - 1 generators and cubic time.  Groups are
+not changed after construction and the operations are pure, so instances
+can be shared freely across threads; two threads that read a rule-backed
+group's `table` at once may both build it, and get equal tables.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -66,7 +76,7 @@ def _validate_table(table: tuple[tuple[int, ...], ...]) -> None:
     # is a monoid that needs n - 1 generators, which would make this cubic.
     # The trivial table has no generators, so itemgetter always gets two or
     # more indices and returns a tuple.
-    for a in _generators(table):
+    for a in _generators(n, lambda x, g: table[x][g]):
         compose = operator.itemgetter(*table[a])
         for x, row in enumerate(table):
             lhs = table[row[a]]
@@ -108,16 +118,15 @@ def _check_columns(table: tuple[tuple[int, ...], ...]) -> None:
             raise GroupTableError(f"column {j} is not a permutation (Latin square violated)")
 
 
-def _generators(table: tuple[tuple[int, ...], ...]) -> Iterator[int]:
-    """Yield generators until closing {0} under right multiplication by them
-    reaches every element of the table.
+def _generators(n: int, mul: Callable[[int, int], int]) -> Iterator[int]:
+    """Yield generators until closing {0} under right multiplication by them,
+    `mul(x, g)`, reaches every one of the n elements.
 
     Each generator is the smallest element not yet reached.  Associativity
     is not assumed: every element reached is 0 or a left-normed product
     ((g1*g2)*...)*gk of generators.  Each element reached is multiplied by
-    each generator once: O(n * generators) lookups.
+    each generator once: O(n * generators) products.
     """
-    n = len(table)
     reached = bytearray(n)
     reached[0] = 1
     members = [0]
@@ -128,15 +137,15 @@ def _generators(table: tuple[tuple[int, ...], ...]) -> Iterator[int]:
         gens.append(g)
         fresh = []
         for x in members:
-            y = table[x][g]
+            y = mul(x, g)
             if not reached[y]:
                 reached[y] = 1
                 fresh.append(y)
         members.extend(fresh)
         while fresh:
-            row = table[fresh.pop()]
+            x = fresh.pop()
             for h in gens:
-                y = row[h]
+                y = mul(x, h)
                 if not reached[y]:
                     reached[y] = 1
                     fresh.append(y)
@@ -165,39 +174,67 @@ class Subgroup:
         return len(self.members)
 
 
-@dataclass(frozen=True)
 class FiniteGroup:
-    """A finite group: n x n Cayley table over element indices, with labels."""
+    """A finite group over the elements 0..n-1, with labels.
+
+    `FiniteGroup(name, table, labels)` validates an n x n Cayley table and
+    is backed by it.  A constructor that knows its operation is a group
+    backs one by a rule instead (`_from_rule`).  Either way the group is
+    read through `order`, `mul(x, g)` and `labels`.
+    """
+
+    __slots__ = ("name", "order", "mul", "labels", "_table")
 
     name: str
-    table: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...]
+    order: int
+    mul: Callable[[int, int], int]
+    labels: Sequence[str]
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, name: str, table: Sequence[Sequence[int]], labels: Sequence[str]
+    ) -> None:
         # List rows are stored as tuples; tuple() returns a tuple row as is.
-        object.__setattr__(self, "table", tuple(map(tuple, self.table)))
-        _validate_table(self.table)
-        if len(self.labels) != len(self.table):
-            raise GroupTableError(
-                f"got {len(self.labels)} labels for {len(self.table)} elements"
-            )
+        rows = tuple(map(tuple, table))
+        _validate_table(rows)
+        if len(labels) != len(rows):
+            raise GroupTableError(f"got {len(labels)} labels for {len(rows)} elements")
+        self.name, self.order, self.labels, self._table = name, len(rows), labels, rows
+        self.mul = lambda x, g: rows[x][g]
 
-    def validate(self) -> None:
-        """Re-run the construction-time invariant checks."""
-        _validate_table(self.table)
+    @classmethod
+    def _from_rule(
+        cls, name: str, order: int, mul: Callable[[int, int], int], labels: Sequence[str]
+    ) -> FiniteGroup:
+        """A group backed by `mul`, which the caller knows to be a group
+        operation with identity 0; nothing is validated here."""
+        group = cls.__new__(cls)
+        group.name, group.order, group.mul, group.labels = name, order, mul, labels
+        group._table = None
+        return group
+
+    def __repr__(self) -> str:
+        return f"<FiniteGroup {self.name} of order {self.order}>"
 
     @property
-    def order(self) -> int:
-        return len(self.table)
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        """The n x n Cayley table; a rule's is built and validated on first use."""
+        if self._table is None:
+            n, mul = self.order, self.mul
+            table = tuple(tuple(map(mul, itertools.repeat(x, n), range(n))) for x in range(n))
+            _validate_table(table)
+            self._table = table
+        return self._table
 
-    def inv(self, a: int) -> int:
-        return self.table[a].index(0)
+    def validate(self) -> None:
+        """Re-run the table checks."""
+        _validate_table(self.table)
 
     def element_order(self, g: int) -> int:
+        mul = self.mul
         x = g
         k = 1
         while x != 0:
-            x = self.table[x][g]
+            x = mul(x, g)
             k += 1
         return k
 
@@ -210,11 +247,12 @@ class FiniteGroup:
         return dict(sorted(hist.items()))
 
     def cyclic_subgroup(self, g: int) -> Subgroup:
+        mul = self.mul
         members = [0]
         x = g
         while x != 0:
             members.append(x)
-            x = self.table[x][g]
+            x = mul(x, g)
         return Subgroup(tuple(sorted(members)), generator=g)
 
     def cyclic_subgroups(self) -> tuple[Subgroup, ...]:
@@ -228,7 +266,7 @@ class FiniteGroup:
         the smallest generator of <g>.  The cost is the sum of the subgroup
         orders, not of the element orders.
         """
-        table = self.table
+        mul = self.mul
         covered = bytearray(self.order)
         subs = []
         for g in range(self.order):
@@ -238,7 +276,7 @@ class FiniteGroup:
             x = g
             while x != 0:
                 powers.append(x)
-                x = table[x][g]
+                x = mul(x, g)
             m = len(powers)
             for k in range(1, m):
                 if math.gcd(k, m) == 1:
@@ -248,88 +286,80 @@ class FiniteGroup:
         return tuple(subs)
 
     def is_abelian(self) -> bool:
-        """The table equals its transpose."""
-        return self.table == tuple(zip(*self.table))
+        """The generators from `_generators` commute pairwise."""
+        mul = self.mul
+        gens = list(_generators(self.order, mul))
+        return all(mul(a, b) == mul(b, a) for a, b in itertools.combinations(gens, 2))
 
     def is_cyclic(self) -> bool:
-        return any(self.element_order(g) == self.order for g in range(self.order))
-
-    def check_subgroup(self, sub: Subgroup) -> bool:
-        """Closure of the member set under products and inverses."""
-        members = set(sub.members)
-        if 0 not in members:
-            return False
-        for a in members:
-            if self.inv(a) not in members:
-                return False
-            for b in members:
-                if self.table[a][b] not in members:
-                    return False
-        return True
+        """A largest cyclic subgroup is the whole group."""
+        return self.cyclic_subgroups()[-1].order == self.order
 
 
 # ---------------------------------------------------------------------------
-# constructors
+# constructors: each returns a group backed by its multiplication rule.
 
 
 def make_cyclic(n: int) -> FiniteGroup:
     """The cyclic group of order n, written additively."""
     if n < 1:
         raise ValueError(f"cyclic group order must be >= 1, got {n}")
-    base = tuple(range(n))
-    table = tuple(_turn(base, i) for i in range(n))
-    return FiniteGroup(f"Z{n}", table, tuple(str(i) for i in range(n)))
+    return FiniteGroup._from_rule(
+        f"Z{n}", n, lambda x, g: (x + g) % n, tuple(str(i) for i in range(n))
+    )
 
 
 def direct_product(first: FiniteGroup, *rest: FiniteGroup) -> FiniteGroup:
     """Componentwise product of one or more groups, taken left-associatively:
     the pair (a, b) of a product with h is encoded as a*|h| + b.
 
-    The intermediate products are plain tables; only the final table is
-    validated.  A single factor is returned as it is.
+    The product multiplies through its factors' `mul`, so a table-backed
+    factor, validated when it was built, is not validated again.  A single
+    factor is returned as it is.
     """
     if not rest:
         return first
-    table, labels = first.table, first.labels
+    order, mul, labels = first.order, first.mul, first.labels
     for h in rest:
-        m = h.order
-        # Row (g, k) is the concatenation, over x in g's row, of h's row k
-        # shifted by x*m, which is blocks[k][x].
-        blocks = [
-            [tuple(map((x * m).__add__, hrow)) for x in range(len(table))]
-            for hrow in h.table
-        ]
-        table = tuple(
-            tuple(itertools.chain.from_iterable(map(block.__getitem__, grow)))
-            for grow in table
-            for block in blocks
-        )
+        mul = _componentwise(mul, h.mul, h.order)
         labels = tuple(f"({a},{b})" for a in labels for b in h.labels)
-    return FiniteGroup("x".join(g.name for g in (first, *rest)), table, labels)
+        order *= h.order
+    return FiniteGroup._from_rule("x".join(g.name for g in (first, *rest)), order, mul, labels)
 
 
-def _turn(seq: tuple[int, ...], i: int) -> tuple[int, ...]:
-    """seq[(i + k) % len(seq)] for each k."""
-    return seq[i:] + seq[:i]
+def _componentwise(
+    gmul: Callable[[int, int], int], hmul: Callable[[int, int], int], m: int
+) -> Callable[[int, int], int]:
+    """The rule of G x H, given G's rule, H's rule and m = |H|."""
+
+    def mul(x: int, y: int) -> int:
+        a, b = divmod(x, m)
+        c, d = divmod(y, m)
+        return gmul(a, c) * m + hmul(b, d)
+
+    return mul
 
 
-def _flip(seq: tuple[int, ...], i: int) -> tuple[int, ...]:
-    """seq[(i - k) % len(seq)] for each k."""
-    return seq[i::-1] + seq[:i:-1]
+def _twisted(m: int, t: int) -> Callable[[int, int], int]:
+    """The rule of <a, b> with a of order m, b a b^-1 = a^-1 and b^2 = a^t:
+    a^i is element i and a^i b is element m + i, so a^i a^k = a^(i+k),
+    a^i a^k b = a^(i+k) b, a^i b a^k = a^(i-k) b and a^i b a^k b = a^(i-k+t)."""
+
+    def mul(x: int, g: int) -> int:
+        if x < m:
+            return (x + g) % m if g < m else m + (x + g) % m
+        return m + (x - g) % m if g < m else (x - g + t) % m
+
+    return mul
 
 
 def make_dihedral(n: int) -> FiniteGroup:
     """Dihedral group of order 2n: rotations r^i and reflections r^i s."""
     if n < 1:
         raise ValueError(f"dihedral parameter must be >= 1, got {n}")
-    rot, ref = tuple(range(n)), tuple(range(n, 2 * n))
-    # r^i r^k = r^(i+k), r^i r^k s = r^(i+k) s, r^i s r^k = r^(i-k) s and
-    # r^i s r^k s = r^(i-k).
-    table = tuple(_turn(rot, i) + _turn(ref, i) for i in range(n))
-    table += tuple(_flip(ref, i) + _flip(rot, i) for i in range(n))
     labels = ["e"] + [f"r{i}" if i > 1 else "r" for i in range(1, n)]
     labels += ["s"] + [f"r{i}s" if i > 1 else "rs" for i in range(1, n)]
-    return FiniteGroup(f"D{n}", table, tuple(labels))
+    return FiniteGroup._from_rule(f"D{n}", 2 * n, _twisted(n, 0), tuple(labels))
 
 
 def make_dicyclic(n: int) -> FiniteGroup:
@@ -337,14 +367,9 @@ def make_dicyclic(n: int) -> FiniteGroup:
     if n < 2:
         raise ValueError(f"dicyclic parameter must be >= 2, got {n}")
     m = 2 * n
-    low, high = tuple(range(m)), tuple(range(m, 2 * m))
-    # a^i a^k = a^(i+k), a^i a^k b = a^(i+k) b, a^i b a^k = a^(i-k) b and
-    # a^i b a^k b = a^(i-k+n).
-    table = tuple(_turn(low, i) + _turn(high, i) for i in range(m))
-    table += tuple(_flip(high, i) + _flip(low, (i + n) % m) for i in range(m))
     labels = ["e"] + [f"a{i}" if i > 1 else "a" for i in range(1, m)]
     labels += ["b"] + [f"a{i}b" if i > 1 else "ab" for i in range(1, m)]
-    return FiniteGroup(f"Dic{n}", table, tuple(labels))
+    return FiniteGroup._from_rule(f"Dic{n}", 2 * m, _twisted(m, n), tuple(labels))
 
 
 def _cycle_label(perm: tuple[int, ...]) -> str:
@@ -366,16 +391,14 @@ def _cycle_label(perm: tuple[int, ...]) -> str:
 
 def _perm_group(name: str, perms: list[tuple[int, ...]]) -> FiniteGroup:
     index = {p: i for i, p in enumerate(perms)}
-    if len(perms[0]) == 1:
-        table = ((0,),)  # S1: itemgetter with one index would return a scalar
-    else:
-        # p*q is p after q, read off p at the positions q lists; column q
-        # holds the index of p*q for every p.
-        columns = [
-            map(index.__getitem__, map(operator.itemgetter(*q), perms)) for q in perms
-        ]
-        table = tuple(zip(*columns))
-    return FiniteGroup(name, table, tuple(_cycle_label(p) for p in perms))
+
+    def mul(x: int, g: int) -> int:
+        # p*q is p after q, read off p at the positions q lists.
+        return index[tuple(map(perms[x].__getitem__, perms[g]))]
+
+    return FiniteGroup._from_rule(
+        name, len(perms), mul, tuple(_cycle_label(p) for p in perms)
+    )
 
 
 def _parity(perm: tuple[int, ...]) -> int:
@@ -533,8 +556,8 @@ def _extend_hom(
         x = queue.pop()
         for gen, img in zip(gens, images):
             for xm, ym in (
-                (a.table[x][gen], b.table[mapping[x]][img]),
-                (a.table[gen][x], b.table[img][mapping[x]]),
+                (a.mul(x, gen), b.mul(mapping[x], img)),
+                (a.mul(gen, x), b.mul(img, mapping[x])),
             ):
                 known = mapping.get(xm)
                 if known is None:
@@ -546,7 +569,7 @@ def _extend_hom(
         return None
     for x in range(a.order):
         for y in range(a.order):
-            if mapping[a.table[x][y]] != b.table[mapping[x]][mapping[y]]:
+            if mapping[a.mul(x, y)] != b.mul(mapping[x], mapping[y]):
                 return None
     return mapping
 
@@ -557,7 +580,7 @@ def is_isomorphic_small_group(a: FiniteGroup, b: FiniteGroup) -> bool:
         return False
     if a.order_histogram() != b.order_histogram():
         return False
-    gens = list(_generators(a.table))
+    gens = list(_generators(a.order, a.mul))
     if not gens:
         return True
     by_order: dict[int, list[int]] = {}

@@ -13,7 +13,7 @@ of each report: Γ is built once, and the recognizer's verdict, cyclicity and
 the prediction are computed once.  `verify_catalog` returns the three
 reports of one such pass over the catalog, and each of the three functions
 above keeps the report it names.  `verify_sources`, which `grouplines
-verify` runs, also builds each group's table inside that function.  The
+verify` runs, also builds each group inside that function.  The
 groups are split over the CPUs available to the process (`fanout.fan_out`)
 and the rows put back in catalog order, so the reports do not depend on the
 number of CPUs.
@@ -375,7 +375,8 @@ def verify_sources(
     sources: Sequence[str],
 ) -> tuple[TheoremReport, CaseReport, CompletenessReport]:
     """`verify_catalog` over the records of the given spec strings, with each
-    table built and validated in the process that verifies its group.
+    group built, and any table file validated, in the process that verifies
+    it.
 
     When tables are bad, the error of the first in source order is raised.
     """

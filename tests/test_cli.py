@@ -223,6 +223,18 @@ def test_check_output_is_unchanged(capsys):
     assert "".join(outputs).encode() == (DATA / "check_outputs.txt").read_bytes()
 
 
+def test_gamma_output_is_unchanged(capsys):
+    # Every label and member ordering `gamma` prints, byte for byte, for the
+    # specs of the check golden; `check` shows labels only at its witnesses.
+    specs = (DATA / "check_specs.txt").read_text(encoding="utf-8").splitlines()
+    outputs = []
+    for spec in specs:
+        code, out, err = run(capsys, "gamma", spec)
+        assert (code, err) == (0, ""), spec
+        outputs.append(out)
+    assert "".join(outputs).encode() == (DATA / "gamma_outputs.txt").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # forbidden
 
