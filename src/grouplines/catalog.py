@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .groups import (
     FiniteGroup,
@@ -96,8 +96,7 @@ def _load_table(path: str) -> FiniteGroup:
     return from_cayley_table(text, name=Path(path).stem)
 
 
-@dataclass(frozen=True)
-class GroupRecord:
+class GroupRecord(NamedTuple):
     """A catalog entry: the group, the spec string it came from, its order class."""
 
     group: FiniteGroup

@@ -19,8 +19,8 @@ import argparse
 import os
 import sys
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .catalog import CATALOG_MAX_ORDER, catalog_sources, parse_group_spec
 from .graphs import format_graph_text
@@ -97,8 +97,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1
 
 
-@dataclass(frozen=True)
-class Option:
+class Option(NamedTuple):
     """One option of a subcommand.
 
     `kind` says how its value is read: "int" (argparse `type=int`), "choice"
@@ -150,8 +149,7 @@ class Option:
         return value
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     """One subcommand: its handler, help, positionals as (name, help), options."""
 
     name: str

@@ -14,9 +14,8 @@ small graphs; enumeration is cost-guarded.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 # Cost guards for the exhaustive searches.
 MAX_ENUM_VERTICES = 6
@@ -34,25 +33,64 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
+class _Frozen:
+    """Base of the validated value types.
+
+    A subclass names its compared fields in `_fields` and sets its slots in
+    `__init__` through `object.__setattr__`; after that an instance is
+    immutable.  Equality, hash, repr and pickling go by `_fields`, and
+    unpickling runs `__init__`, so it validates again.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SimpleGraph(_Frozen):
     """Undirected simple graph on vertices 0..n-1; adj[v] is a neighbour bitmask."""
 
+    __slots__ = _fields = ("n", "adj")
     n: int
     adj: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.n < 0 or len(self.adj) != self.n:
+    def __init__(self, n: int, adj: tuple[int, ...]) -> None:
+        if n < 0 or len(adj) != n:
             raise ValueError("adjacency length must equal vertex count")
-        for v, mask in enumerate(self.adj):
-            if mask >> self.n:
-                raise ValueError(f"vertex {v} has a neighbour outside [0, {self.n})")
+        for v, mask in enumerate(adj):
+            if mask >> n:
+                raise ValueError(f"vertex {v} has a neighbour outside [0, {n})")
             if (mask >> v) & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        for v, mask in enumerate(self.adj):
+        for v, mask in enumerate(adj):
             for u in _bits(mask):
-                if not (self.adj[u] >> v) & 1:
+                if not (adj[u] >> v) & 1:
                     raise ValueError(f"edge {v}-{u} is not symmetric")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "adj", adj)
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> SimpleGraph:
@@ -324,8 +362,7 @@ def is_isomorphic(a: SimpleGraph, b: SimpleGraph) -> bool:
 # each set of equivalent embeddings once instead of |Aut(pattern)| times.
 
 
-@dataclass(frozen=True)
-class SearchPlan:
+class SearchPlan(NamedTuple):
     """A pattern compiled for induced-subgraph search.
 
     Depth d places pattern vertex `order[d]`.  Its host image must have

@@ -38,8 +38,9 @@ import itertools
 import math
 import operator
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass
 from enum import Enum
+
+from .graphs import _Frozen
 
 
 class GroupTableError(ValueError):
@@ -152,26 +153,28 @@ def _generators(n: int, mul: Callable[[int, int], int]) -> Iterator[int]:
                     members.append(y)
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(_Frozen):
     """A subgroup given by its sorted member indices.
 
     `generator` is set when the subgroup was produced as the cyclic closure
-    of a single element.
+    of a single element.  `order`, the member count, is stored but not
+    compared.
     """
 
+    _fields = ("members", "generator")
+    __slots__ = _fields + ("order",)
     members: tuple[int, ...]
-    generator: int | None = None
+    generator: int | None
+    order: int
 
-    def __post_init__(self) -> None:
-        if tuple(sorted(set(self.members))) != self.members:
+    def __init__(self, members: tuple[int, ...], generator: int | None = None) -> None:
+        if tuple(sorted(set(members))) != members:
             raise ValueError("members must be sorted and duplicate-free")
-        if not self.members or self.members[0] != 0:
+        if not members or members[0] != 0:
             raise ValueError("a subgroup must contain the identity (element 0)")
-
-    @property
-    def order(self) -> int:
-        return len(self.members)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "generator", generator)
+        object.__setattr__(self, "order", len(members))
 
 
 class FiniteGroup:
@@ -480,23 +483,25 @@ class OrderClass(Enum):
     THREE_OR_MORE_PRIMES = "three-plus-primes"
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(_Frozen):
     """Prime factorization as (prime, exponent) pairs with primes increasing."""
 
+    __slots__ = _fields = ("n", "factors")
     n: int
     factors: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, n: int, factors: tuple[tuple[int, int], ...]) -> None:
         prod = 1
         prev = 1
-        for p, e in self.factors:
+        for p, e in factors:
             if p <= prev or e < 1 or not _is_prime(p):
-                raise ValueError(f"bad factor ({p},{e}) in factorization of {self.n}")
+                raise ValueError(f"bad factor ({p},{e}) in factorization of {n}")
             prev = p
             prod *= p**e
-        if prod != self.n:
-            raise ValueError(f"factors multiply to {prod}, not {self.n}")
+        if prod != n:
+            raise ValueError(f"factors multiply to {prod}, not {n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "factors", factors)
 
 
 def _is_prime(n: int) -> bool:

@@ -8,31 +8,32 @@ independent oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .graphs import SimpleGraph, connected_components
+from .graphs import SimpleGraph, _Frozen, connected_components
 from .groups import FiniteGroup, factorize
 
 
-@dataclass(frozen=True)
-class VertexLabel:
+class VertexLabel(NamedTuple):
     order: int
     members: tuple[int, ...]
     name: str
 
 
-@dataclass(frozen=True)
-class LabeledGraph:
+class LabeledGraph(_Frozen):
     """A SimpleGraph whose vertices carry subgroup labels."""
 
+    __slots__ = _fields = ("graph", "labels")
     graph: SimpleGraph
     labels: tuple[VertexLabel, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.labels) != self.graph.n:
+    def __init__(self, graph: SimpleGraph, labels: tuple[VertexLabel, ...]) -> None:
+        if len(labels) != graph.n:
             raise ValueError("label count must equal vertex count")
-        if len({lab.members for lab in self.labels}) != self.graph.n:
+        if len({lab.members for lab in labels}) != graph.n:
             raise ValueError("vertex member sets must be distinct")
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "labels", labels)
 
 
 def build_gamma(group: FiniteGroup) -> LabeledGraph:
@@ -90,8 +91,7 @@ def divisor_hasse(n: int) -> SimpleGraph:
     return SimpleGraph.from_edges(len(divisors), edges)
 
 
-@dataclass(frozen=True)
-class GammaStats:
+class GammaStats(NamedTuple):
     vertices: int
     edges: int
     degrees: tuple[int, ...]

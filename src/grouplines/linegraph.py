@@ -17,13 +17,13 @@ of patterns is asserted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .graphs import (
     SearchPlan,
     SimpleGraph,
+    _Frozen,
     canonical_key,
     connected_components,
     find_first_induced,
@@ -34,8 +34,7 @@ from .graphs import (
 )
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Line-graph decision plus checkable evidence.
 
     On a positive root-search verdict, `root` and `edge_map` certify the
@@ -53,23 +52,26 @@ class Verdict:
     embedding: tuple[int, ...] | None = None
 
 
-@dataclass(frozen=True)
-class ForbiddenSet:
+class ForbiddenSet(_Frozen):
     """The nine minimal non-line graphs, id Gamma1 (the claw) first, each
-    compiled once into the search plan the Beineke scan runs."""
+    compiled once into the search plan the Beineke scan runs (`plans`,
+    which is not compared)."""
 
+    _fields = ("patterns",)
+    __slots__ = _fields + ("plans",)
     patterns: tuple[SimpleGraph, ...]
-    plans: tuple[SearchPlan, ...] = field(init=False, repr=False, compare=False)
+    plans: tuple[SearchPlan, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.patterns) != 9:
-            raise ValueError(f"expected 9 forbidden patterns, got {len(self.patterns)}")
-        keys = {canonical_key(p) for p in self.patterns}
+    def __init__(self, patterns: tuple[SimpleGraph, ...]) -> None:
+        if len(patterns) != 9:
+            raise ValueError(f"expected 9 forbidden patterns, got {len(patterns)}")
+        keys = {canonical_key(p) for p in patterns}
         if len(keys) != 9:
             raise ValueError("forbidden patterns must be pairwise non-isomorphic")
-        if any(not is_connected(p) for p in self.patterns):
+        if any(not is_connected(p) for p in patterns):
             raise ValueError("forbidden patterns must be connected")
-        object.__setattr__(self, "plans", tuple(map(search_plan, self.patterns)))
+        object.__setattr__(self, "patterns", patterns)
+        object.__setattr__(self, "plans", tuple(map(search_plan, patterns)))
 
     @property
     def ids(self) -> tuple[str, ...]:

@@ -22,8 +22,7 @@ number of CPUs.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from .catalog import GroupRecord, load_record
 from .fanout import fan_out
@@ -57,8 +56,7 @@ def _witness_summary(lg: LabeledGraph, verdict: Verdict) -> str:
 # main theorem
 
 
-@dataclass(frozen=True)
-class TheoremRow:
+class TheoremRow(NamedTuple):
     name: str
     order: int
     order_class: OrderClass
@@ -68,8 +66,7 @@ class TheoremRow:
     witness: str
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     rows: tuple[TheoremRow, ...]
 
     @property
@@ -113,8 +110,7 @@ def verify_main_theorem(catalog: tuple[GroupRecord, ...]) -> TheoremReport:
 # per-case checks with prescribed witnesses
 
 
-@dataclass(frozen=True)
-class CaseCheck:
+class CaseCheck(NamedTuple):
     case: str
     group: str
     expect_line_graph: bool
@@ -129,8 +125,7 @@ class CaseCheck:
         return f"claw center={self.center_order} leaves={leaves}"
 
 
-@dataclass(frozen=True)
-class CaseReport:
+class CaseReport(NamedTuple):
     checks: tuple[CaseCheck, ...]
 
     @property
@@ -274,8 +269,7 @@ def _prime_with_three_subgroups(
 # completeness of the graph
 
 
-@dataclass(frozen=True)
-class CompletenessRow:
+class CompletenessRow(NamedTuple):
     name: str
     order: int
     complete: bool
@@ -286,8 +280,7 @@ class CompletenessRow:
         return self.complete == self.expected
 
 
-@dataclass(frozen=True)
-class CompletenessReport:
+class CompletenessReport(NamedTuple):
     rows: tuple[CompletenessRow, ...]
 
     @property

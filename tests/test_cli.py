@@ -505,3 +505,19 @@ def test_a_closed_stdout_exits_141_without_a_message(argv):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (cli.EXIT_BROKEN_PIPE, b"")
+
+
+def test_the_cli_imports_no_dataclasses():
+    # Every CLI process pays for its imports; dataclasses alone pulls in
+    # inspect, ast, dis and tokenize.  pytest imports it itself, so only a
+    # fresh interpreter can tell; -S keeps site's .pth files out of it.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    code = "import sys, grouplines, grouplines.cli; print('dataclasses' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        stdout=subprocess.PIPE,
+        env=env,
+        timeout=120,
+        check=True,
+    )
+    assert proc.stdout == b"False\n"

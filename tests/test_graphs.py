@@ -1,9 +1,11 @@
 import itertools
+import pickle
 import random
 import re
 
 import pytest
 
+from grouplines.catalog import parse_group_spec
 from grouplines.graphs import (
     EnumerationLimitError,
     SimpleGraph,
@@ -21,6 +23,9 @@ from grouplines.graphs import (
     make_named,
     parse_graph_text,
 )
+from grouplines.lattice import LabeledGraph, VertexLabel, build_gamma
+from grouplines.linegraph import ForbiddenSet, Verdict, derive_forbidden_set
+from contracts import check_message, check_value_contract
 
 
 def count_classes_by_orbit_counting(n):
@@ -70,6 +75,89 @@ def test_rejects_asymmetric_adjacency():
 def test_rejects_out_of_range_neighbor():
     with pytest.raises(ValueError, match="outside"):
         SimpleGraph(1, (2,))
+
+
+PATH3 = "SimpleGraph(n=3, adj=(2, 5, 2))"
+Z2_GAMMA = (
+    "LabeledGraph(graph=SimpleGraph(n=2, adj=(2, 1)), labels=("
+    "VertexLabel(order=1, members=(0,), name='{e}'), "
+    "VertexLabel(order=2, members=(0, 1), name='<1> (order 2)')))"
+)
+
+
+@pytest.mark.parametrize(
+    "make, field, text",
+    [
+        (lambda: SimpleGraph(3, (2, 5, 2)), "adj", PATH3),
+        (lambda: SimpleGraph(0, ()), "n", "SimpleGraph(n=0, adj=())"),
+        (lambda: build_gamma(parse_group_spec("Z2")), "labels", Z2_GAMMA),
+        (
+            lambda: VertexLabel(2, (0, 1), "<1>"),
+            "name",
+            "VertexLabel(order=2, members=(0, 1), name='<1>')",
+        ),
+        (
+            lambda: Verdict(True, root=SimpleGraph(3, (2, 5, 2)), edge_map=((0, 1),)),
+            "root",
+            f"Verdict(is_line_graph=True, root={PATH3}, edge_map=((0, 1),),"
+            " pattern_id=None, embedding=None)",
+        ),
+        (
+            lambda: Verdict(False, pattern_id="Gamma1", embedding=(0, 1, 2, 3)),
+            "pattern_id",
+            "Verdict(is_line_graph=False, root=None, edge_map=None,"
+            " pattern_id='Gamma1', embedding=(0, 1, 2, 3))",
+        ),
+    ],
+)
+def test_graph_values_keep_their_contract(make, field, text):
+    check_value_contract(make, field, text)
+
+
+def test_forbidden_set_compares_and_pickles_without_its_plans():
+    f = derive_forbidden_set()
+    text = "ForbiddenSet(patterns=(" + ", ".join(map(repr, f.patterns)) + "))"
+    assert text.startswith("ForbiddenSet(patterns=(SimpleGraph(n=4, adj=(8, 8, 8, 7)), ")
+    check_value_contract(lambda: ForbiddenSet(f.patterns), "plans", text)
+    assert pickle.loads(pickle.dumps(f)).plans == f.plans
+
+
+def test_unequal_graph_values_differ():
+    assert SimpleGraph(3, (2, 5, 2)) != SimpleGraph(3, (6, 1, 1))
+    assert SimpleGraph(3, (2, 5, 2)) != (3, (2, 5, 2))
+    assert build_gamma(parse_group_spec("Z2")) != build_gamma(parse_group_spec("Z3"))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SimpleGraph(2, (1, 0)), "self-loop at vertex 0"),
+        (lambda: SimpleGraph(2, (2, 0)), "edge 0-1 is not symmetric"),
+        (lambda: SimpleGraph(1, (3,)), "vertex 0 has a neighbour outside [0, 1)"),
+        (lambda: SimpleGraph(2, (2,)), "adjacency length must equal vertex count"),
+        (
+            lambda: LabeledGraph(
+                SimpleGraph(2, (0, 0)),
+                (VertexLabel(1, (0,), "a"), VertexLabel(1, (0,), "b")),
+            ),
+            "vertex member sets must be distinct",
+        ),
+        (
+            lambda: LabeledGraph(SimpleGraph(2, (0, 0)), (VertexLabel(1, (0,), "a"),)),
+            "label count must equal vertex count",
+        ),
+        (
+            lambda: ForbiddenSet(derive_forbidden_set().patterns[:8]),
+            "expected 9 forbidden patterns, got 8",
+        ),
+        (
+            lambda: ForbiddenSet((*derive_forbidden_set().patterns[:8], make_named("K1,3"))),
+            "forbidden patterns must be pairwise non-isomorphic",
+        ),
+    ],
+)
+def test_graph_value_messages(build, message):
+    check_message(build, message)
 
 
 def test_named_graphs():

@@ -30,6 +30,8 @@ from grouplines.groups import (
     to_cayley_table,
 )
 from grouplines.lattice import build_gamma
+from grouplines.verify import TheoremRow
+from contracts import check_message, check_value_contract
 from oracles import check_subgroup
 
 # Latin square with identity but no associativity (checked at freeze time).
@@ -482,6 +484,59 @@ def test_cyclic_subgroups_are_closed():
 def test_subgroup_must_contain_identity():
     with pytest.raises(ValueError):
         Subgroup((1, 2))
+
+
+@pytest.mark.parametrize(
+    "make, field, text",
+    [
+        (
+            lambda: Subgroup((0, 2, 4), generator=2),
+            "members",
+            "Subgroup(members=(0, 2, 4), generator=2)",
+        ),
+        (lambda: Subgroup((0,)), "generator", "Subgroup(members=(0,), generator=None)"),
+        (
+            lambda: Subgroup((0, 2, 4), generator=2),
+            "order",
+            "Subgroup(members=(0, 2, 4), generator=2)",
+        ),
+        (lambda: factorize(12), "factors", "Factorization(n=12, factors=((2, 2), (3, 1)))"),
+        (
+            lambda: TheoremRow("Z6", 6, OrderClass.TWO_PRIMES_PQ, True, True, True, "-"),
+            "actual",
+            "TheoremRow(name='Z6', order=6, order_class=<OrderClass.TWO_PRIMES_PQ: 'pq'>,"
+            " is_cyclic=True, predicted=True, actual=True, witness='-')",
+        ),
+    ],
+)
+def test_group_values_keep_their_contract(make, field, text):
+    check_value_contract(make, field, text)
+
+
+def test_subgroup_order_is_stored_and_unequal_values_differ():
+    for g in small_catalog():
+        for s in g.cyclic_subgroups():
+            assert s.order == len(s.members)
+    assert Subgroup((0, 2, 4), generator=2) != Subgroup((0, 2, 4), generator=4)
+    assert Subgroup((0, 2, 4)) != Subgroup((0, 1, 2))
+    assert factorize(12) != factorize(18)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Subgroup((0, 2, 1)), "members must be sorted and duplicate-free"),
+        (lambda: Subgroup((0, 1, 1)), "members must be sorted and duplicate-free"),
+        (lambda: Subgroup((2, 1)), "members must be sorted and duplicate-free"),
+        (lambda: Subgroup(()), "a subgroup must contain the identity (element 0)"),
+        (lambda: Subgroup((1, 2)), "a subgroup must contain the identity (element 0)"),
+        (lambda: Factorization(12, ((4, 1), (3, 1))), "bad factor (4,1) in factorization of 12"),
+        (lambda: Factorization(12, ((3, 1), (2, 2))), "bad factor (2,2) in factorization of 12"),
+        (lambda: Factorization(12, ((2, 1), (3, 1))), "factors multiply to 6, not 12"),
+    ],
+)
+def test_group_value_messages(build, message):
+    check_message(build, message)
 
 
 def test_abelian_and_cyclic_predicates():
