@@ -25,12 +25,8 @@ from typing import NamedTuple
 from .catalog import CATALOG_MAX_ORDER, catalog_sources, parse_group_spec
 from .graphs import format_graph_text
 from .groups import GroupTableError
-from .lattice import build_gamma, to_dot, to_edge_list
-from .linegraph import (
-    derive_forbidden_set,
-    is_line_graph_by_beineke,
-    is_line_graph_by_roots,
-)
+from .lattice import build_gamma, decide_gamma, to_dot, to_edge_list
+from .linegraph import derive_forbidden_set, is_line_graph_by_roots
 from .verify import verify_sources
 
 # The exit code a shell reports for a process killed by SIGPIPE.
@@ -49,7 +45,7 @@ def cmd_gamma(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     group = parse_group_spec(args.spec)
     lg = build_gamma(group)
-    verdict = is_line_graph_by_beineke(lg.graph, derive_forbidden_set())
+    verdict = decide_gamma(lg)
     if not verdict.is_line_graph:
         names = ", ".join(lg.labels[v].name for v in verdict.embedding)
         print(f"NOT A LINE GRAPH: {verdict.pattern_id} at vertices [{names}]")

@@ -3,12 +3,12 @@ and exhaustive enumeration of isomorphism classes.
 
 Adjacency is kept as one bitmask per vertex, which makes the backtracking
 searches cheap and the value types hashable.  The induced-subgraph search
-serves hosts of any size (the cyclic subgroup graph of Z2^7 has 128
-vertices): its cost is polynomial in the host, with the pattern size as the
-exponent.  The forbidden set compiles each pattern once into a `SearchPlan`,
-and `find_first_induced` builds a host's masks once per scan.
-Isomorphism, canonical forms and enumeration are exponential and meant for
-small graphs; enumeration is cost-guarded.
+serves hosts of any size (the cyclic subgroup graph of Z2^7 has 128 vertices,
+though the command line decides it by degree): its cost is polynomial in the
+host, with the pattern size as the exponent.  The forbidden set compiles each
+pattern once into a `SearchPlan`, and `find_first_induced` builds a host's
+masks once per scan.  Isomorphism, canonical forms and enumeration are
+exponential and meant for small graphs; enumeration is cost-guarded.
 """
 
 from __future__ import annotations

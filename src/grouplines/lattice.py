@@ -3,7 +3,8 @@
 Vertices are the cyclic subgroups of a group; two are joined exactly when one
 contains the other with no further cyclic subgroup strictly between.  For a
 cyclic group of order n this is the divisor lattice of n, which doubles as an
-independent oracle.
+independent oracle.  A covering graph has no triangle, so whether it is a line
+graph is read off its vertex degrees (`decide_gamma`).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from typing import NamedTuple
 
 from .graphs import SimpleGraph, _Frozen, connected_components
 from .groups import FiniteGroup, factorize
+from .linegraph import Verdict
 
 
 class VertexLabel(NamedTuple):
@@ -67,6 +69,22 @@ def build_gamma(group: FiniteGroup) -> LabeledGraph:
             name = f"<{group.labels[s.generator]}> (order {s.order})"
         labels.append(VertexLabel(s.order, s.members, name))
     return LabeledGraph(SimpleGraph.from_edges(len(subs), edges), tuple(labels))
+
+
+def decide_gamma(lg: LabeledGraph) -> Verdict:
+    """The Beineke scan's verdict and witness on Γ, read off its degrees.
+
+    Γ has no triangle: three pairwise covers would form a chain a < b < c in
+    which a covers c.  A triangle-free graph is a line graph exactly when no
+    vertex has degree 3 or more (Harary, Graph Theory, 1969, ch. 8), and such
+    a vertex with any three neighbours is an induced claw.  The scan finds the
+    first one and its three smallest neighbours, ordered as `linegraph.CLAW`.
+    """
+    for center, mask in enumerate(lg.graph.adj):
+        if mask.bit_count() >= 3:
+            leaves = lg.graph.neighbors(center)[:3]
+            return Verdict(False, pattern_id="Gamma1", embedding=(*leaves, center))
+    return Verdict(True)
 
 
 def divisor_hasse(n: int) -> SimpleGraph:

@@ -29,7 +29,6 @@ from .graphs import (
     find_first_induced,
     graph_from_key,
     is_connected,
-    make_named,
     search_plan,
 )
 
@@ -50,6 +49,10 @@ class Verdict(NamedTuple):
     edge_map: tuple[tuple[int, int], ...] | None = None
     pattern_id: str | None = None
     embedding: tuple[int, ...] | None = None
+
+
+# Gamma1, the claw K1,3, as the derivation yields it: leaves 0-2, centre 3.
+CLAW = SimpleGraph(4, (8, 8, 8, 7))
 
 
 class ForbiddenSet(_Frozen):
@@ -300,7 +303,7 @@ def derive_forbidden_set() -> ForbiddenSet:
     connected line graph.  The count must come out at exactly nine.  The
     patterns come in (vertex count, canonical key) order, claw first.
     """
-    claw = canonical_key(make_named("K1,3"))
+    claw = canonical_key(CLAW)
     keys = [key for _, minimal in _grown_levels(6) for key in minimal]
     keys.sort(key=lambda key: key != claw)
     if len(keys) != 9:

@@ -9,14 +9,14 @@ arguments are built from (claws with prescribed subgroup orders); and
 trivial group and groups of prime order.
 
 Each group's work is one function, `_group_rows`, from a record to its row
-of each report: Γ is built once, and the recognizer's verdict, cyclicity and
-the prediction are computed once.  `verify_catalog` returns the three
-reports of one such pass over the catalog, and each of the three functions
-above keeps the report it names.  `verify_sources`, which `grouplines
-verify` runs, also builds each group inside that function.  The
-groups are split over the CPUs available to the process (`fanout.fan_out`)
-and the rows put back in catalog order, so the reports do not depend on the
-number of CPUs.
+of each report: Γ is built once, and its verdict (read off its vertex
+degrees by `lattice.decide_gamma`), cyclicity and the prediction are
+computed once.  `verify_catalog` returns the three reports of one such pass
+over the catalog, and each of the three functions above keeps the report it
+names.  `verify_sources`, which `grouplines verify` runs, also builds each
+group inside that function.  The groups are split over the CPUs available
+to the process (`fanout.fan_out`) and the rows put back in catalog order, so
+the reports do not depend on the number of CPUs.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from .catalog import GroupRecord, load_record
 from .fanout import fan_out
 from .graphs import check_induced_embedding
 from .groups import FiniteGroup, OrderClass, classify_order, factorize
-from .lattice import LabeledGraph, build_gamma
-from .linegraph import Verdict, derive_forbidden_set, is_line_graph_by_beineke
+from .lattice import LabeledGraph, build_gamma, decide_gamma
+from .linegraph import CLAW, Verdict
 
 _LINE_GRAPH_CLASSES = frozenset(
     {OrderClass.TRIVIAL, OrderClass.PRIME_POWER, OrderClass.TWO_PRIMES_PQ}
@@ -181,8 +181,6 @@ def _case_check(
     predicted: bool,
 ) -> CaseCheck | None:
     """The check of the case whose hypothesis the group satisfies, if any."""
-    claw = derive_forbidden_set().patterns[0]
-    claw_center = max(range(claw.n), key=claw.degree)
     group = record.group
     factors = factorize(group.order).factors
     actual = verdict.is_line_graph
@@ -222,21 +220,18 @@ def _case_check(
         leaves = _vertices_of_order(lg, t)[:3]
     elif not predicted:
         # Remaining negatives (non-abelian prime-power or two-prime
-        # orders): any induced claw will do; take the recognizer's.
+        # orders): any induced claw will do; take the verdict's.
         case = "other-negative"
         center = leaves = None
-        if verdict.pattern_id == "Gamma1":
-            center = verdict.embedding[claw_center]
-            leaves = [verdict.embedding[i] for i in range(claw.n) if i != claw_center]
+        if not actual:
+            *leaves, center = verdict.embedding
     else:
         return None
 
     ok = False
     center_order = leaf_orders = None
     if center is not None:
-        embedding = list(leaves)
-        embedding.insert(claw_center, center)
-        ok = not actual and check_induced_embedding(lg.graph, claw, embedding)
+        ok = not actual and check_induced_embedding(lg.graph, CLAW, (*leaves, center))
         center_order = lg.labels[center].order
         leaf_orders = tuple(lg.labels[v].order for v in leaves)
     return CaseCheck(
@@ -305,7 +300,7 @@ _Rows = tuple[TheoremRow, CaseCheck | None, CompletenessRow]
 
 
 def _group_rows(record: GroupRecord) -> _Rows:
-    """One group's rows of the three reports, from one Γ and one scan.
+    """One group's rows of the three reports, from one Γ and one verdict.
 
     Γ's vertices are sorted by subgroup order, so its last vertex is a
     largest cyclic subgroup, and the group is cyclic exactly when that is
@@ -313,7 +308,7 @@ def _group_rows(record: GroupRecord) -> _Rows:
     """
     group = record.group
     lg = build_gamma(group)
-    verdict = is_line_graph_by_beineke(lg.graph, derive_forbidden_set())
+    verdict = decide_gamma(lg)
     is_cyclic = lg.labels[-1].order == group.order
     predicted = _predicted(is_cyclic, record.order_class)
     factors = factorize(group.order).factors
@@ -347,8 +342,6 @@ def _reports(
 ) -> tuple[TheoremReport, CaseReport, CompletenessReport]:
     if not items:
         raise ValueError("catalog must be non-empty")
-    # Derived before any fork, so that every worker inherits the patterns.
-    derive_forbidden_set()
     theorem, cases, completeness = zip(*fan_out(rows_of, items))
     return (
         TheoremReport(theorem),

@@ -232,6 +232,9 @@ def test_criterion_8_property_suite(catalog60, forbidden):
 
         assert len(connected_components(lg.graph)) == 1, record.source
 
+        adj = lg.graph.adj
+        assert all(adj[u] & adj[v] == 0 for u, v in lg.graph.edges()), record.source
+
         verdict = is_line_graph_by_beineke(lg.graph, forbidden)
         if verdict.is_line_graph:
             assert find_induced(lg.graph, claw) is None, record.source

@@ -275,6 +275,25 @@ def test_forbidden_output_is_unchanged(capsys, tmp_path):
 # verify
 
 
+def test_check_and_verify_derive_no_forbidden_patterns(capsys, monkeypatch, tmp_path):
+    from functools import partial
+
+    from grouplines import verify
+    from grouplines.fanout import fan_out
+    from grouplines.linegraph import derive_forbidden_set
+
+    # The cache counts only this process, so the groups are not forked out.
+    monkeypatch.setattr(verify, "fan_out", partial(fan_out, _workers=1))
+    derive_forbidden_set.cache_clear()
+    for argv in (["check", "S3"], ["check", "Z15"], ["verify", "--max-order", "60"]):
+        assert main(argv) == 0
+    assert derive_forbidden_set.cache_info().misses == 0
+    # The count can fail: `forbidden` derives.
+    assert main(["forbidden", "-o", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert derive_forbidden_set.cache_info().misses == 1
+
+
 def test_verify_order_15_holds(capsys):
     code, out, _ = run(capsys, "verify", "--max-order", "15")
     assert code == 0

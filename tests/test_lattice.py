@@ -1,7 +1,9 @@
+from pathlib import Path
+
 import pytest
 
-from grouplines.catalog import build_catalog, parse_group_spec
-from grouplines.graphs import is_isomorphic, make_named
+from grouplines.catalog import build_catalog, catalog_specs, parse_group_spec
+from grouplines.graphs import check_induced_embedding, is_isomorphic, make_named
 from grouplines.groups import (
     direct_product,
     make_cyclic,
@@ -13,11 +15,13 @@ from grouplines.lattice import (
     LabeledGraph,
     VertexLabel,
     build_gamma,
+    decide_gamma,
     divisor_hasse,
     gamma_stats,
     to_dot,
     to_edge_list,
 )
+from grouplines.linegraph import CLAW, derive_forbidden_set, is_line_graph_by_beineke
 
 Z6_EDGE_LIST = """\
 vertices 4
@@ -204,6 +208,44 @@ def test_trivial_vertex_neighbors_have_prime_order():
 def test_gamma_is_connected_for_every_sample_group():
     for group in sample_groups():
         assert gamma_stats(build_gamma(group)).is_connected, group.name
+
+
+# ---------------------------------------------------------------------------
+# deciding Γ by degree
+
+
+@pytest.fixture(scope="module")
+def decided_gammas():
+    checked = (Path(__file__).parent / "data" / "check_specs.txt").read_text("utf-8")
+    specs = {*checked.split(), *catalog_specs(60)}
+    specs.update(f"Z{n}" for n in range(1, 601))
+    specs.update(f"D{n}" for n in range(1, 101))
+    specs.update(f"Dic{n}" for n in range(2, 61))
+    assert len(specs) == 817
+    return [(spec, build_gamma(parse_group_spec(spec))) for spec in sorted(specs)]
+
+
+def test_claw_constant_is_the_derived_gamma1():
+    # decide_gamma's embedding order (leaves, then centre) is this pattern's.
+    assert CLAW == derive_forbidden_set().patterns[0]
+
+
+def test_gamma_is_triangle_free(decided_gammas):
+    for spec, lg in decided_gammas:
+        adj = lg.graph.adj
+        assert all(adj[u] & adj[v] == 0 for u, v in lg.graph.edges()), spec
+
+
+def test_decide_gamma_gives_the_beineke_scans_verdict_and_witness(decided_gammas):
+    forbidden = derive_forbidden_set()
+    negatives = 0
+    for spec, lg in decided_gammas:
+        verdict = decide_gamma(lg)
+        assert verdict == is_line_graph_by_beineke(lg.graph, forbidden), spec
+        if not verdict.is_line_graph:
+            negatives += 1
+            assert check_induced_embedding(lg.graph, CLAW, verdict.embedding), spec
+    assert 0 < negatives < len(decided_gammas)
 
 
 # ---------------------------------------------------------------------------

@@ -254,7 +254,7 @@ def test_verify_builds_each_gamma_once(monkeypatch, capsys):
     # The counters see only this process, so the groups are not forked out.
     monkeypatch.setattr(verify, "fan_out", partial(fan_out, _workers=1))
 
-    calls = {"build_gamma": 0, "beineke": 0, "is_cyclic": 0}
+    calls = {"build_gamma": 0, "decide_gamma": 0, "is_cyclic": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -265,9 +265,7 @@ def test_verify_builds_each_gamma_once(monkeypatch, capsys):
 
     monkeypatch.setattr(verify, "build_gamma", counted("build_gamma", verify.build_gamma))
     monkeypatch.setattr(
-        verify,
-        "is_line_graph_by_beineke",
-        counted("beineke", verify.is_line_graph_by_beineke),
+        verify, "decide_gamma", counted("decide_gamma", verify.decide_gamma)
     )
     monkeypatch.setattr(
         FiniteGroup, "is_cyclic", counted("is_cyclic", FiniteGroup.is_cyclic)
@@ -275,7 +273,7 @@ def test_verify_builds_each_gamma_once(monkeypatch, capsys):
     assert main(["verify", "--max-order", "60"]) == 0
     capsys.readouterr()
     assert calls["build_gamma"] == 146
-    assert calls["beineke"] == 146
+    assert calls["decide_gamma"] == 146
     assert calls["is_cyclic"] <= 146
 
 
