@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 from .groups import (
     FiniteGroup,
+    GroupTableError,
     OrderClass,
     classify_order,
     direct_product,
@@ -30,12 +31,9 @@ from .groups import (
 # ASCII digits only: \d would also take other Unicode digits, which int() reads.
 _ATOM = re.compile(r"(Dic|Z|D|S|A)([0-9]+)")
 
-# The largest group order a spec may build.  It was a cost guard while every
-# built-in group was a validated table; built-in groups are now rules, which
-# cost about the sum of their cyclic-subgroup orders, but the limit and its
-# message stay as the tests and the README give them.  Larger specs are
-# refused before any group is built.  A spec that is a single table file is
-# not capped: its table is the input.
+# The largest group order a spec may build, as the README gives it; larger
+# specs are refused before any group is built.  A spec that is a single
+# table file is not capped: its table is the input.
 MAX_SPEC_ORDER = 2048
 
 # The parameters each constructor takes, within the order limit.
@@ -86,13 +84,16 @@ def parse_group_spec(spec: str) -> FiniteGroup:
 
 def _atom(token: str) -> FiniteGroup:
     kind, n = _ATOM.fullmatch(token).groups()
-    return _CONSTRUCTORS[kind](int(n))
+    return _CONSTRUCTORS[kind](int(n.lstrip("0")))
 
 
 def _load_table(path: str) -> FiniteGroup:
     if not path:
         raise ValueError("empty path in file: spec")
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GroupTableError(f"table file {path!r} is not UTF-8 at byte {exc.start}") from None
     return from_cayley_table(text, name=Path(path).stem)
 
 
@@ -179,7 +180,10 @@ def _spec_order(spec: str) -> int:
         m = _ATOM.fullmatch(token)
         if not m:
             raise ValueError(f"bad group spec token {token!r} in {spec!r}")
-        kind, n = m.group(1), int(m.group(2))
+        kind, digits = m.group(1), m.group(2).lstrip("0")
+        # Digits past the guard's width only make the order larger, and int()
+        # may refuse a string of over 4300 digits.
+        n = int(digits[: len(str(MAX_SPEC_ORDER)) + 1] or 0)
         if kind in ("S", "A"):
             # |S_n| = 2*3*...*n and |A_n| = 3*4*...*n for n >= 2.
             factor = 1

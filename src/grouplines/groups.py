@@ -228,10 +228,6 @@ class FiniteGroup:
             self._table = table
         return self._table
 
-    def validate(self) -> None:
-        """Re-run the table checks."""
-        _validate_table(self.table)
-
     def element_order(self, g: int) -> int:
         mul = self.mul
         x = g
@@ -445,14 +441,15 @@ def from_cayley_table(text: str, name: str = "table") -> FiniteGroup:
     head = lines[0].split()
     if len(head) != 2 or head[0] != "order":
         raise GroupTableError(f"expected 'order <n>' header, got {lines[0]!r}")
-    # ASCII digits only: int() would also read other Unicode digits.
+    # ASCII digits only: int() would also read other Unicode digits.  Long
+    # numbers are compared as strings: int() may refuse over 4300 digits.
     if not (head[1].isascii() and head[1].isdigit()):
         raise GroupTableError(f"bad order value {head[1]!r}")
-    n = int(head[1])
-    if n < 1:
-        raise GroupTableError(f"order must be >= 1, got {n}")
-    if len(lines) - 1 != n:
-        raise GroupTableError(f"expected {n} table rows, got {len(lines) - 1}")
+    order, n = head[1].lstrip("0") or "0", len(lines) - 1
+    if order == "0":
+        raise GroupTableError("order must be >= 1, got 0")
+    if order != str(n):
+        raise GroupTableError(f"expected {order} table rows, got {n}")
     table = []
     for i, ln in enumerate(lines[1:]):
         parts = ln.split()
@@ -461,8 +458,16 @@ def from_cayley_table(text: str, name: str = "table") -> FiniteGroup:
         for p in parts:
             if not (p.isascii() and p.isdigit()):
                 raise GroupTableError(f"row {i} has a bad entry {p!r}")
-        table.append(tuple(map(int, parts)))
-    return FiniteGroup(name, tuple(table), tuple(str(i) for i in range(n)))
+        table.append(parts)
+    if any(max(map(len, row)) > len(order) for row in table):
+        # Past leading zeros, entries longer than n are out of range; name the
+        # first entry out of range, as validation would.
+        table = [[p.lstrip("0") or "0" for p in row] for row in table]
+        for i, row in enumerate(table):
+            for j, p in enumerate(row):
+                if len(p) > len(order) or int(p) >= n:
+                    raise GroupTableError(f"entry ({i},{j}) = {p} is outside [0,{n})")
+    return FiniteGroup(name, tuple(tuple(map(int, r)) for r in table), tuple(map(str, range(n))))
 
 
 def to_cayley_table(g: FiniteGroup) -> str:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .graphs import SimpleGraph, _Frozen, connected_components
+from .graphs import SimpleGraph, _Frozen
 from .groups import FiniteGroup, factorize
 from .linegraph import Verdict
 
@@ -107,25 +107,6 @@ def divisor_hasse(n: int) -> SimpleGraph:
             if d2 % d1 == 0 and prime(d2 // d1):
                 edges.append((i, j))
     return SimpleGraph.from_edges(len(divisors), edges)
-
-
-class GammaStats(NamedTuple):
-    vertices: int
-    edges: int
-    degrees: tuple[int, ...]
-    is_connected: bool
-    is_complete: bool
-
-
-def gamma_stats(lg: LabeledGraph) -> GammaStats:
-    g = lg.graph
-    return GammaStats(
-        vertices=g.n,
-        edges=g.edge_count(),
-        degrees=g.degrees(),
-        is_connected=len(connected_components(g)) <= 1,
-        is_complete=g.edge_count() == g.n * (g.n - 1) // 2,
-    )
 
 
 # ---------------------------------------------------------------------------

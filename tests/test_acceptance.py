@@ -13,19 +13,9 @@ import grouplines.graphs as graphs_mod
 import grouplines.linegraph as linegraph_mod
 from grouplines.catalog import build_catalog
 from grouplines.cli import main
-from grouplines.graphs import (
-    canonical_key,
-    connected_components,
-    enumerate_connected_graphs,
-    enumerate_graphs,
-    find_induced,
-    is_connected,
-    is_isomorphic,
-    make_named,
-    path_graph,
-)
-from grouplines.groups import factorize, make_cyclic
-from grouplines.lattice import build_gamma, divisor_hasse, gamma_stats
+from grouplines.graphs import canonical_key, connected_components, is_connected
+from grouplines.groups import _validate_table, factorize, make_cyclic
+from grouplines.lattice import build_gamma, divisor_hasse
 from grouplines.linegraph import (
     derive_forbidden_set,
     is_line_graph_by_beineke,
@@ -39,7 +29,17 @@ from grouplines.verify import (
     verify_main_theorem,
 )
 
+import oracles
 from certificates import edge_map_certifies
+from oracles import (
+    enumerate_connected_graphs,
+    enumerate_graphs,
+    find_induced,
+    gamma_stats,
+    is_isomorphic,
+    make_named,
+    path_graph,
+)
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +55,7 @@ def forbidden():
 def test_criterion_1_forbidden_set_derivation():
     # cold run: clear every cache the derivation leans on
     graphs_mod.canonical_key.cache_clear()
-    graphs_mod._class_keys.cache_clear()
+    oracles._class_keys.cache_clear()
     linegraph_mod.derive_forbidden_set.cache_clear()
 
     start = time.monotonic()
@@ -203,7 +203,7 @@ def test_criterion_8_property_suite(catalog60, forbidden):
 
     for record in catalog60:
         group = record.group
-        group.validate()
+        _validate_table(group.table)
 
         lg = build_gamma(group)
         sets = [frozenset(lab.members) for lab in lg.labels]

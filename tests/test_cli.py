@@ -12,10 +12,11 @@ import pytest
 from grouplines import cli
 from grouplines.catalog import catalog_specs
 from grouplines.cli import main
-from grouplines.graphs import SimpleGraph, is_isomorphic, make_named, parse_graph_text
+from grouplines.graphs import SimpleGraph, parse_graph_text
 from grouplines.groups import make_cyclic, to_cayley_table
 from grouplines.lattice import build_gamma
 from grouplines.linegraph import line_graph
+from oracles import is_isomorphic, make_named
 
 Z6_EDGES_OUTPUT = """\
 vertices 4
@@ -144,6 +145,48 @@ def test_check_takes_only_ascii_digits_in_table_files(capsys, tmp_path, text, to
     assert code == 2 and out == ""
     assert token in err
     assert "Traceback" not in err
+
+
+def test_a_table_file_that_is_not_utf8_is_named(capsys, tmp_path):
+    # A UTF-16 export; among several --catalog files the path tells which.
+    path = tmp_path / "z3.tbl"
+    path.write_text(to_cayley_table(make_cyclic(3)), encoding="utf-16")
+    message = f"error: table file {str(path)!r} is not UTF-8 at byte 0"
+    for argv in (["check", f"file:{path}"], ["verify", "--max-order", "1", "--catalog", str(path)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith(message) and err.count("\n") == 1, argv
+
+
+BIG = "9" * 5000  # past CPython's default limit of 4300 digits for int()
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (f"Z{BIG}", f"group spec 'Z{BIG}' has order above 2048"),
+        ("file:t.tbl", f"expected {BIG} table rows, got 2"),
+        ("file:e.tbl", f"entry (2,1) = {BIG} is outside [0,3)"),
+    ],
+    ids=["spec", "header", "entry"],
+)
+def test_numbers_of_any_length_get_the_projects_messages(
+    capsys, tmp_path, monkeypatch, spec, message
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.tbl").write_text(f"order {BIG}\n0 1\n1 0\n", encoding="utf-8")
+    (tmp_path / "e.tbl").write_text(f"order 3\n0 1 2\n1 2 0\n2 {BIG} 1\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", spec)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_zero_padded_numbers_of_any_length_are_read(capsys, tmp_path):
+    zeros = "0" * 5000
+    path = tmp_path / "z3.tbl"
+    path.write_text(f"order {zeros}3\n0 1 2\n1 2 0\n2 0 {zeros}1\n", encoding="utf-8")
+    assert run(capsys, "check", f"Z{zeros}3") == run(capsys, "check", "Z3")
+    assert run(capsys, "check", f"file:{path}") == run(capsys, "check", "Z3")
 
 
 def test_gamma_accepts_a_valid_table_file(capsys, tmp_path):

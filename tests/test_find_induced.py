@@ -14,14 +14,7 @@ import time
 import pytest
 
 from grouplines.catalog import build_catalog
-from grouplines.graphs import (
-    SimpleGraph,
-    check_induced_embedding,
-    complete_graph,
-    enumerate_graphs,
-    find_induced,
-    search_plan,
-)
+from grouplines.graphs import SimpleGraph, check_induced_embedding, search_plan
 from grouplines.lattice import build_gamma
 from grouplines.linegraph import (
     Verdict,
@@ -29,6 +22,7 @@ from grouplines.linegraph import (
     is_line_graph_by_beineke,
     line_graph,
 )
+from oracles import complete_graph, enumerate_graphs, find_induced
 
 
 def bits(mask):

@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 
 from grouplines.catalog import build_catalog, catalog_specs, parse_group_spec
-from grouplines.graphs import check_induced_embedding, is_isomorphic, make_named
+from grouplines.graphs import check_induced_embedding
 from grouplines.groups import (
     direct_product,
     make_cyclic,
@@ -17,11 +17,11 @@ from grouplines.lattice import (
     build_gamma,
     decide_gamma,
     divisor_hasse,
-    gamma_stats,
     to_dot,
     to_edge_list,
 )
 from grouplines.linegraph import CLAW, derive_forbidden_set, is_line_graph_by_beineke
+from oracles import gamma_stats, is_isomorphic, make_named
 
 Z6_EDGE_LIST = """\
 vertices 4
