@@ -94,7 +94,10 @@ def _load_table(path: str) -> FiniteGroup:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise GroupTableError(f"table file {path!r} is not UTF-8 at byte {exc.start}") from None
-    return from_cayley_table(text, name=Path(path).stem)
+    try:
+        return from_cayley_table(text, name=Path(path).stem)
+    except GroupTableError as exc:
+        raise GroupTableError(f"table file {path!r}: {exc}") from None
 
 
 class GroupRecord(NamedTuple):

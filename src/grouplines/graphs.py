@@ -398,31 +398,3 @@ def format_graph_text(g: SimpleGraph) -> str:
     lines = [f"n {g.n}"]
     lines.extend(f"e {u} {v}" for u, v in g.edges())
     return "\n".join(lines) + "\n"
-
-
-def _is_ascii_number(token: str) -> bool:
-    # ASCII digits only: int() would also read other Unicode digits.
-    return token.isascii() and token.isdigit()
-
-
-def parse_graph_text(text: str) -> SimpleGraph:
-    """Parse the graph text format; each error names the offending line."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    head = lines[0].split() if lines else []
-    if not head or head[0] != "n":
-        raise ValueError("graph text must start with 'n <count>'")
-    if len(head) != 2 or not _is_ascii_number(head[1]):
-        raise ValueError(f"bad vertex count line {lines[0]!r}")
-    n = int(head[1])
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 3 or parts[0] != "e" or not all(map(_is_ascii_number, parts[1:])):
-            raise ValueError(f"bad edge line {ln!r}")
-        u, v = int(parts[1]), int(parts[2])
-        if u >= n or v >= n:
-            raise ValueError(f"edge line {ln!r} is out of range for {n} vertices")
-        if u == v:
-            raise ValueError(f"edge line {ln!r} is a self-loop")
-        edges.append((u, v))
-    return SimpleGraph.from_edges(n, edges)

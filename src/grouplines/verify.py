@@ -153,14 +153,6 @@ class CaseReport(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-def _vertices_of_order(lg: LabeledGraph, order: int) -> list[int]:
-    return [i for i, lab in enumerate(lg.labels) if lab.order == order]
-
-
-def _trivial_vertex(lg: LabeledGraph) -> int:
-    return _vertices_of_order(lg, 1)[0]
-
-
 def verify_case_theorems(catalog: tuple[GroupRecord, ...]) -> CaseReport:
     """Check each classification case on the groups satisfying its hypothesis.
 
@@ -179,85 +171,50 @@ def _case_check(
     verdict: Verdict,
     is_cyclic: bool,
     predicted: bool,
+    factors: tuple[tuple[int, int], ...],
 ) -> CaseCheck | None:
-    """The check of the case whose hypothesis the group satisfies, if any."""
-    group = record.group
-    factors = factorize(group.order).factors
-    actual = verdict.is_line_graph
+    """The check of the case whose hypothesis the group satisfies, if any.
 
-    if record.order_class is OrderClass.THREE_OR_MORE_PRIMES:
-        case = "three-primes"
-        center = _trivial_vertex(lg)
-        leaves = [min(_vertices_of_order(lg, p)) for p, _ in factors[:3]]
-    elif is_cyclic and record.order_class in (
-        OrderClass.PRIME_POWER,
-        OrderClass.TWO_PRIMES_PQ,
-    ):
-        return CaseCheck(
-            case="cyclic-two-primes",
-            group=record.source,
-            expect_line_graph=True,
-            center_order=None,
-            leaf_orders=None,
-            ok=actual,
-        )
-    elif is_cyclic and record.order_class is OrderClass.TWO_PRIMES_OTHER:
-        case = "cyclic-two-primes"
-        t, u = _chain_primes(factors)
-        center = min(_vertices_of_order(lg, t))
-        leaves = [
-            _trivial_vertex(lg),
-            min(_vertices_of_order(lg, t * t)),
-            min(_vertices_of_order(lg, t * u)),
-        ]
-    elif not is_cyclic and (
-        (abelian := group.is_abelian())
-        or record.order_class is OrderClass.TWO_PRIMES_PQ
-    ):
+    Γ's vertices are sorted by order, so {e} is vertex 0 and the cyclic
+    subgroups of one order form a block of consecutive vertices: each claw
+    is read off `first`, the first vertex of each order, and a block's size
+    is the next block's start minus its own.
+    """
+    order_class, actual = record.order_class, verdict.is_line_graph
+    if order_class is OrderClass.TRIVIAL:
+        return None
+    if predicted:
+        return CaseCheck("cyclic-two-primes", record.source, True, None, None, actual)
+    first: dict[int, int] = {}
+    for v, label in enumerate(lg.labels):
+        first.setdefault(label.order, v)
+    primes = [p for p, _ in factors]
+    if order_class is OrderClass.THREE_OR_MORE_PRIMES:
+        case, center, leaves = "three-primes", 0, [first[p] for p in primes[:3]]
+    elif is_cyclic:
+        # Two primes, t the one whose square divides the order: the chain
+        # claw t; 1, t², tu.
+        (t, _), (u, _) = factors if factors[0][1] >= 2 else factors[::-1]
+        case, center, leaves = "cyclic-two-primes", first[t], [0, first[t * t], first[t * u]]
+    elif (abelian := record.group.is_abelian()) or order_class is OrderClass.TWO_PRIMES_PQ:
         case = "noncyclic-abelian" if abelian else "nonabelian-pq"
-        t = _prime_with_three_subgroups(lg, factors)
-        center = _trivial_vertex(lg)
-        leaves = _vertices_of_order(lg, t)[:3]
-    elif not predicted:
+        starts = [*first.values(), len(lg.labels)]
+        size = {order: end - start for order, start, end in zip(first, starts, starts[1:])}
+        t = next((p for p in primes if size[p] >= 3), None)
+        if t is None:
+            raise RuntimeError("no prime with three subgroups of that order was found")
+        center, leaves = 0, range(first[t], first[t] + 3)
+    else:
         # Remaining negatives (non-abelian prime-power or two-prime
         # orders): any induced claw will do; take the verdict's.
-        case = "other-negative"
-        center = leaves = None
+        case, center, leaves = "other-negative", None, None
         if not actual:
             *leaves, center = verdict.embedding
-    else:
-        return None
-
-    ok = False
-    center_order = leaf_orders = None
-    if center is not None:
-        ok = not actual and check_induced_embedding(lg.graph, CLAW, (*leaves, center))
-        center_order = lg.labels[center].order
-        leaf_orders = tuple(lg.labels[v].order for v in leaves)
-    return CaseCheck(
-        case=case,
-        group=record.source,
-        expect_line_graph=False,
-        center_order=center_order,
-        leaf_orders=leaf_orders,
-        ok=ok,
-    )
-
-
-def _chain_primes(factors: tuple[tuple[int, int], ...]) -> tuple[int, int]:
-    (p, a), (q, b) = factors
-    if a >= 2:
-        return p, q
-    return q, p
-
-
-def _prime_with_three_subgroups(
-    lg: LabeledGraph, factors: tuple[tuple[int, int], ...]
-) -> int:
-    for p, _ in factors:
-        if len(_vertices_of_order(lg, p)) >= 3:
-            return p
-    raise RuntimeError("no prime with three subgroups of that order was found")
+    if center is None:
+        return CaseCheck(case, record.source, False, None, None, False)
+    ok = not actual and check_induced_embedding(lg.graph, CLAW, (*leaves, center))
+    leaf_orders = tuple(lg.labels[v].order for v in leaves)
+    return CaseCheck(case, record.source, False, lg.labels[center].order, leaf_orders, ok)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +280,7 @@ def _group_rows(record: GroupRecord) -> _Rows:
             actual=verdict.is_line_graph,
             witness=_witness_summary(lg, verdict),
         ),
-        _case_check(record, lg, verdict, is_cyclic, predicted),
+        _case_check(record, lg, verdict, is_cyclic, predicted, factors),
         CompletenessRow(
             name=record.source,
             order=group.order,

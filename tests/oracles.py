@@ -11,7 +11,10 @@ benchmark run.  What only the tests call lives here:
   backtracker in `test_find_induced.py` must match witness for witness;
 - exhaustive enumeration of isomorphism classes, exponential and called
   for at most 7 vertices;
-- `gamma_stats`, summary statistics of a cyclic subgroup graph.
+- `gamma_stats`, summary statistics of a cyclic subgroup graph;
+- `subgroup_lattice_graph`, the covering graph L(G) of all subgroups;
+- `parse_graph_text`, the reader of the graph text format that
+  `grouplines forbidden` writes; no command reads it.
 """
 
 from __future__ import annotations
@@ -255,3 +258,95 @@ def gamma_stats(lg: LabeledGraph) -> GammaStats:
         is_connected=len(connected_components(g)) <= 1,
         is_complete=g.edge_count() == g.n * (g.n - 1) // 2,
     )
+
+
+# ---------------------------------------------------------------------------
+# the subgroup graph
+
+
+def subgroup_lattice_graph(group) -> tuple[SimpleGraph, tuple[tuple[int, ...], ...]]:
+    """L(G), the covering graph of all subgroups, and each vertex's members.
+
+    Vertices are sorted by (order, members), as `build_gamma` sorts Γ's.
+    Every subgroup is the join of the cyclic subgroups of its elements, so
+    joining each subgroup found with each cyclic subgroup not in it, until
+    nothing new appears, reaches them all.  T covers S when S < T and no
+    subgroup lies strictly between; that is tested over all triples, so
+    none of `build_gamma`'s prime-index cover test is shared.
+
+    Why L(G) matters (the abstract studies Γ(G) as a subgraph of it):
+
+    - Γ(G) = L(G)[C(G)], the subgraph induced on the cyclic subgroups: if
+      C < K < D with D cyclic, then K is cyclic, so a cover between cyclic
+      subgroups is a cover in L(G).
+    - L(G) is a covering graph too, so it has no triangle, and it is a line
+      graph exactly when every vertex has degree at most 2.
+    - Line graphs are closed under induced subgraphs, so if L(G) is a line
+      graph so is Γ(G), and by the paper G is cyclic; for cyclic G the two
+      graphs are equal.  So L(G) is a line graph exactly when G is cyclic
+      of prime-power or pq order.
+    """
+    table = group.table
+
+    def generated(gens):
+        members, frontier = {0}, [0]
+        for x in frontier:
+            row = table[x]
+            for g in gens:
+                y = row[g]
+                if y not in members:
+                    members.add(y)
+                    frontier.append(y)
+        return frozenset(members)
+
+    cyclic = {}
+    for g in range(group.order):
+        cyclic.setdefault(generated((g,)), g)
+    gens_of = {c: (g,) for c, g in cyclic.items()}
+    queue = list(gens_of)
+    for s in queue:
+        for g in cyclic.values():
+            if g not in s:
+                joined = generated((*gens_of[s], g))
+                if joined not in gens_of:
+                    gens_of[joined] = (*gens_of[s], g)
+                    queue.append(joined)
+    members = sorted((tuple(sorted(s)) for s in gens_of), key=lambda m: (len(m), m))
+    sets = [frozenset(m) for m in members]
+    edges = []
+    for j, top in enumerate(sets):
+        below = [i for i in range(j) if sets[i] < top]
+        edges += [(i, j) for i in below if not any(sets[i] < sets[k] for k in below)]
+    return SimpleGraph.from_edges(len(sets), edges), tuple(members)
+
+
+# ---------------------------------------------------------------------------
+# graph text format: `n <count>` then `e <i> <j>` lines
+
+
+def _is_ascii_number(token: str) -> bool:
+    # ASCII digits only: int() would also read other Unicode digits.
+    return token.isascii() and token.isdigit()
+
+
+def parse_graph_text(text: str) -> SimpleGraph:
+    """Parse the graph text format; each error names the offending line."""
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    head = lines[0].split() if lines else []
+    if not head or head[0] != "n":
+        raise ValueError("graph text must start with 'n <count>'")
+    if len(head) != 2 or not _is_ascii_number(head[1]):
+        raise ValueError(f"bad vertex count line {lines[0]!r}")
+    n = int(head[1])
+    edges = []
+    for ln in lines[1:]:
+        parts = ln.split()
+        if len(parts) != 3 or parts[0] != "e" or not all(map(_is_ascii_number, parts[1:])):
+            raise ValueError(f"bad edge line {ln!r}")
+        u, v = int(parts[1]), int(parts[2])
+        if u >= n or v >= n:
+            raise ValueError(f"edge line {ln!r} is out of range for {n} vertices")
+        if u == v:
+            raise ValueError(f"edge line {ln!r} is a self-loop")
+        edges.append((u, v))
+    return SimpleGraph.from_edges(n, edges)

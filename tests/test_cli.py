@@ -12,11 +12,11 @@ import pytest
 from grouplines import cli
 from grouplines.catalog import catalog_specs
 from grouplines.cli import main
-from grouplines.graphs import SimpleGraph, parse_graph_text
+from grouplines.graphs import SimpleGraph
 from grouplines.groups import make_cyclic, to_cayley_table
 from grouplines.lattice import build_gamma
 from grouplines.linegraph import line_graph
-from oracles import is_isomorphic, make_named
+from oracles import is_isomorphic, make_named, parse_graph_text
 
 Z6_EDGES_OUTPUT = """\
 vertices 4
@@ -158,6 +158,18 @@ def test_a_table_file_that_is_not_utf8_is_named(capsys, tmp_path):
         assert err.startswith(message) and err.count("\n") == 1, argv
 
 
+def test_a_table_file_that_fails_validation_is_named(capsys, tmp_path):
+    # Among several --catalog files the path tells which one is at fault.
+    good = tmp_path / "z3.tbl"
+    good.write_text(to_cayley_table(make_cyclic(3)), encoding="utf-8")
+    bad = DATA / "bad_tables" / "row_repeat.tbl"
+    argv = ["verify", "--max-order", "1", "--catalog", str(good), "--catalog", str(bad)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    message = "row 1 is not a permutation (Latin square violated)"
+    assert err == f"error: table file {str(bad)!r}: {message}\n"
+
+
 BIG = "9" * 5000  # past CPython's default limit of 4300 digits for int()
 
 
@@ -165,8 +177,8 @@ BIG = "9" * 5000  # past CPython's default limit of 4300 digits for int()
     "spec, message",
     [
         (f"Z{BIG}", f"group spec 'Z{BIG}' has order above 2048"),
-        ("file:t.tbl", f"expected {BIG} table rows, got 2"),
-        ("file:e.tbl", f"entry (2,1) = {BIG} is outside [0,3)"),
+        ("file:t.tbl", f"table file 't.tbl': expected {BIG} table rows, got 2"),
+        ("file:e.tbl", f"table file 'e.tbl': entry (2,1) = {BIG} is outside [0,3)"),
     ],
     ids=["spec", "header", "entry"],
 )

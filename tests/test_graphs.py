@@ -13,7 +13,6 @@ from grouplines.graphs import (
     connected_components,
     format_graph_text,
     is_connected,
-    parse_graph_text,
 )
 from grouplines.lattice import LabeledGraph, VertexLabel, build_gamma
 from grouplines.linegraph import ForbiddenSet, Verdict, derive_forbidden_set
@@ -26,6 +25,7 @@ from oracles import (
     is_isomorphic,
     isomorphism,
     make_named,
+    parse_graph_text,
 )
 
 

@@ -184,7 +184,8 @@ def test_a_product_validates_only_its_factors_and_itself(monkeypatch, tmp_path):
     assert parse_group_spec("Z3xfile:z2.tbl").order == 6
     assert calls == [2]
     (tmp_path / "bad.tbl").write_text("order 2\n0 1\n0 0\n", encoding="utf-8")
-    with pytest.raises(GroupTableError, match=r"^row 1 is not a permutation"):
+    message = r"^table file 'bad\.tbl': row 1 is not a permutation"
+    with pytest.raises(GroupTableError, match=message):
         parse_group_spec("Z3xfile:bad.tbl")
     g = make_cyclic(5)
     assert direct_product(g) is g

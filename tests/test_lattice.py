@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from grouplines.catalog import build_catalog, catalog_specs, parse_group_spec
+from grouplines.catalog import build_catalog, catalog_specs, load_record, parse_group_spec
 from grouplines.graphs import check_induced_embedding
 from grouplines.groups import (
     direct_product,
@@ -21,7 +21,8 @@ from grouplines.lattice import (
     to_edge_list,
 )
 from grouplines.linegraph import CLAW, derive_forbidden_set, is_line_graph_by_beineke
-from oracles import gamma_stats, is_isomorphic, make_named
+from grouplines.verify import predict
+from oracles import gamma_stats, is_isomorphic, make_named, subgroup_lattice_graph
 
 Z6_EDGE_LIST = """\
 vertices 4
@@ -208,6 +209,21 @@ def test_trivial_vertex_neighbors_have_prime_order():
 def test_gamma_is_connected_for_every_sample_group():
     for group in sample_groups():
         assert gamma_stats(build_gamma(group)).is_connected, group.name
+
+
+def test_gamma_is_the_subgroup_graph_induced_on_the_cyclic_subgroups():
+    # L(G) is the abstract's subgroup graph; see `subgroup_lattice_graph`.
+    for record in (*build_catalog(60), load_record("A5xZ7"), load_record("S4xZ5")):
+        group = record.group
+        lattice, members = subgroup_lattice_graph(group)
+        orders = [group.element_order(x) for x in range(group.order)]
+        cyclic = [i for i, m in enumerate(members) if max(orders[x] for x in m) == len(m)]
+        lg = build_gamma(group)
+        assert [members[i] for i in cyclic] == [lab.members for lab in lg.labels], record.source
+        assert lattice.induced(cyclic) == lg.graph, record.source
+        adj = lattice.adj
+        assert all(adj[u] & adj[v] == 0 for u, v in lattice.edges()), record.source
+        assert (max(lattice.degrees()) <= 2) == predict(group), record.source
 
 
 # ---------------------------------------------------------------------------

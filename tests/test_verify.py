@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from grouplines.catalog import build_catalog, catalog_specs, parse_group_spec
@@ -7,7 +9,10 @@ from grouplines.verify import (
     predict,
     verify_case_theorems,
     verify_main_theorem,
+    verify_sources,
 )
+
+DATA = Path(__file__).parent / "data"
 
 PREDICTED_TRUE_UP_TO_15 = [
     "Z1", "Z2", "Z3", "Z4", "Z5", "Z6", "Z7",
@@ -293,3 +298,22 @@ def test_catalog_max_order_is_the_largest_built_in_order():
 
     assert max(_spec_order(s) for s in catalog_specs(10**6)) == CATALOG_MAX_ORDER
     assert catalog_specs(10**6) == catalog_specs(CATALOG_MAX_ORDER)
+
+
+# ---------------------------------------------------------------------------
+# a golden past the built-in catalog
+
+
+# Products of two to four factors, up to order 420, in every negative case
+# that the built-in catalog reaches only at small orders.
+WIDE_PRODUCT_SPECS = (
+    "Z2xZ2xZ3xZ3", "A5xZ7", "Z9xZ3xZ5", "S4xZ5", "Dic9xZ5", "Z2xZ3xZ5xZ7",
+    "A4xZ5", "Z7xZ7xZ2", "D9xZ2", "S3xS3", "Dic5xZ3", "Z5xZ5xZ5",
+)
+
+
+def test_verify_sources_prints_the_checked_in_rows_past_order_60():
+    specs = (DATA / "check_specs.txt").read_text(encoding="utf-8").splitlines()
+    main_report, case_report, completeness = verify_sources((*specs, *WIDE_PRODUCT_SPECS))
+    text = main_report.to_text() + case_report.to_text() + completeness.summary() + "\n"
+    assert text == (DATA / "verify_sources_wide.txt").read_text(encoding="utf-8")
