@@ -16,10 +16,7 @@ from typing import NamedTuple
 from .groups import (
     FiniteGroup,
     GroupTableError,
-    OrderClass,
-    classify_order,
     direct_product,
-    factorize,
     from_cayley_table,
     make_alternating,
     make_cyclic,
@@ -101,17 +98,15 @@ def _load_table(path: str) -> FiniteGroup:
 
 
 class GroupRecord(NamedTuple):
-    """A catalog entry: the group, the spec string it came from, its order class."""
+    """A catalog entry: the group and the spec string it came from."""
 
     group: FiniteGroup
     source: str
-    order_class: OrderClass
 
 
 def load_record(source: str) -> GroupRecord:
     """The catalog record of one spec string; builds its group."""
-    group = parse_group_spec(source)
-    return GroupRecord(group, source, classify_order(factorize(group.order)))
+    return GroupRecord(parse_group_spec(source), source)
 
 
 # All 28 groups of order <= 15, one spec per isomorphism class

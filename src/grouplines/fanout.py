@@ -3,11 +3,13 @@
 `fan_out(fn, items)` returns `[fn(x) for x in items]`.  It forks one worker
 per CPU available to the process, but only as many as the work pays for: a
 fork plus reap of a verify-sized process costs about 2 ms and one catalog
-group about 0.5 ms, so each process gets at least `MIN_ITEMS_PER_WORKER`
-items.  Worker k of w computes the interleaved share `items[k::w]`, so on a
-sequence sorted by cost every share gets a like mix; the parent computes
-share 0 itself, then reads each child's results back over a pipe and puts
-them in item order.  Only results cross the pipe, pickled: the function and
+group about 0.1 ms (medians of 15 runs after a warm `verify_sources`, Python
+3.11.7, 2 vCPUs: 1.2-2.0 ms for `os.fork`, `os._exit` and `waitpid`, and
+0.10-0.13 ms per group over the 146 built-in specs), so each process gets
+at least `MIN_ITEMS_PER_WORKER` items.  Worker k of w computes the
+interleaved share `items[k::w]`, so on a sequence sorted by cost every share
+gets a like mix; the parent computes share 0 itself, then reads each child's
+results back over a pipe and puts them in item order.  Only results cross the pipe, pickled: the function and
 the items reach the children by the fork itself.
 
 When fn raises, the exception of the first failing item in item order is

@@ -30,6 +30,11 @@ product 1 would otherwise need n - 1 generators and cubic time.  Groups are
 not changed after construction and the operations are pure, so instances
 can be shared freely across threads; two threads that read a rule-backed
 group's `table` at once may both build it, and get equal tables.
+
+`cyclic_subgroups` walks each cyclic subgroup's powers once and returns
+plain `Subgroup` records sorted by (order, members); `factorize` returns an
+order's (prime, exponent) pairs.  The package builds these itself, so
+nothing validates them again.
 """
 
 from __future__ import annotations
@@ -39,8 +44,7 @@ import math
 import operator
 from collections.abc import Callable, Iterator, Sequence
 from enum import Enum
-
-from .graphs import _Frozen
+from typing import NamedTuple
 
 
 class GroupTableError(ValueError):
@@ -55,10 +59,8 @@ def _validate_table(table: tuple[tuple[int, ...], ...]) -> None:
     # Latin property.  Only a failing table pays for the diagnostic loops,
     # which name the first fault in the order length/range, then Latin rows.
     values = set(range(n))
-    for row in table:
-        if len(row) != n or set(row) != values:
-            _check_rows(table)
-            break
+    if any(len(row) != n or set(row) != values for row in table):
+        _check_rows(table)
     identity = tuple(range(n))
     if table[0] != identity or tuple(row[0] for row in table) != identity:
         _check_columns(table)
@@ -153,28 +155,13 @@ def _generators(n: int, mul: Callable[[int, int], int]) -> Iterator[int]:
                     members.append(y)
 
 
-class Subgroup(_Frozen):
-    """A subgroup given by its sorted member indices.
+class Subgroup(NamedTuple):
+    """A cyclic subgroup: its order, sorted members and least generator.
+    Members differ between subgroups, so a sort orders by (order, members)."""
 
-    `generator` is set when the subgroup was produced as the cyclic closure
-    of a single element.  `order`, the member count, is stored but not
-    compared.
-    """
-
-    _fields = ("members", "generator")
-    __slots__ = _fields + ("order",)
-    members: tuple[int, ...]
-    generator: int | None
     order: int
-
-    def __init__(self, members: tuple[int, ...], generator: int | None = None) -> None:
-        if tuple(sorted(set(members))) != members:
-            raise ValueError("members must be sorted and duplicate-free")
-        if not members or members[0] != 0:
-            raise ValueError("a subgroup must contain the identity (element 0)")
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "generator", generator)
-        object.__setattr__(self, "order", len(members))
+    members: tuple[int, ...]
+    generator: int
 
 
 class FiniteGroup:
@@ -252,7 +239,7 @@ class FiniteGroup:
         while x != 0:
             members.append(x)
             x = mul(x, g)
-        return Subgroup(tuple(sorted(members)), generator=g)
+        return Subgroup(len(members), tuple(sorted(members)), g)
 
     def cyclic_subgroups(self) -> tuple[Subgroup, ...]:
         """All distinct cyclic subgroups, sorted by (order, members).
@@ -280,8 +267,8 @@ class FiniteGroup:
             for k in range(1, m):
                 if math.gcd(k, m) == 1:
                     covered[powers[k]] = 1
-            subs.append(Subgroup(tuple(sorted(powers)), generator=g))
-        subs.sort(key=lambda s: (s.order, s.members))
+            subs.append(Subgroup(m, tuple(sorted(powers)), g))
+        subs.sort()
         return tuple(subs)
 
     def is_abelian(self) -> bool:
@@ -488,40 +475,8 @@ class OrderClass(Enum):
     THREE_OR_MORE_PRIMES = "three-plus-primes"
 
 
-class Factorization(_Frozen):
-    """Prime factorization as (prime, exponent) pairs with primes increasing."""
-
-    __slots__ = _fields = ("n", "factors")
-    n: int
-    factors: tuple[tuple[int, int], ...]
-
-    def __init__(self, n: int, factors: tuple[tuple[int, int], ...]) -> None:
-        prod = 1
-        prev = 1
-        for p, e in factors:
-            if p <= prev or e < 1 or not _is_prime(p):
-                raise ValueError(f"bad factor ({p},{e}) in factorization of {n}")
-            prev = p
-            prod *= p**e
-        if prod != n:
-            raise ValueError(f"factors multiply to {prod}, not {n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "factors", factors)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def factorize(n: int) -> Factorization:
-    """Trial-division factorization; fine for the tiny orders used here."""
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """(prime, exponent) pairs of n, primes increasing, by trial division."""
     if n < 1:
         raise ValueError(f"cannot factorize {n}")
     factors = []
@@ -537,16 +492,16 @@ def factorize(n: int) -> Factorization:
         d += 1
     if rest > 1:
         factors.append((rest, 1))
-    return Factorization(n, tuple(factors))
+    return tuple(factors)
 
 
-def classify_order(f: Factorization) -> OrderClass:
-    if not f.factors:
+def classify_order(factors: tuple[tuple[int, int], ...]) -> OrderClass:
+    if not factors:
         return OrderClass.TRIVIAL
-    if len(f.factors) == 1:
+    if len(factors) == 1:
         return OrderClass.PRIME_POWER
-    if len(f.factors) == 2:
-        (p, a), (q, b) = f.factors
+    if len(factors) == 2:
+        (p, a), (q, b) = factors
         if a == 1 and b == 1:
             return OrderClass.TWO_PRIMES_PQ
         return OrderClass.TWO_PRIMES_OTHER

@@ -5,6 +5,14 @@ contains the other with no further cyclic subgroup strictly between.  For a
 cyclic group of order n this is the divisor lattice of n, which doubles as an
 independent oracle.  A covering graph has no triangle, so whether it is a line
 graph is read off its vertex degrees (`decide_gamma`).
+
+`build_gamma` reads every cover off the subgroups' members.  The subgroups
+of a cyclic subgroup D are exactly the <x> for x in D, and D covers <x>
+exactly when |D|/|<x>| is prime, one of the primes of |G|.  With the
+vertices sorted by order, <x> is `owner[x]`, the first vertex containing x:
+every cyclic subgroup containing x contains <x>, so it is <x> itself or has
+a larger order and comes later.  One pass over the member tuples sets each
+owner and finds each cover, with no products beyond the subgroup walk.
 """
 
 from __future__ import annotations
@@ -42,25 +50,19 @@ def build_gamma(group: FiniteGroup) -> LabeledGraph:
     """The cyclic subgroup graph of `group`.
 
     Vertices are sorted by (subgroup order, member tuple) so output is
-    deterministic.  Every subgroup of a cyclic group D is cyclic, one for
-    each divisor of |D|, so D covers a cyclic subgroup C exactly when |D|/|C|
-    is prime and the generator of C lies in D.  Each |D| divides |G|, so
-    its primes are read off the one factorization of |G|.
+    deterministic; the edges come from the owner rule above.
     """
     subs = group.cyclic_subgroups()
-    by_order: dict[int, list[int]] = {}
-    for i, s in enumerate(subs):
-        by_order.setdefault(s.order, []).append(i)
-    primes = [p for p, _ in factorize(group.order).factors]
+    primes = {p for p, _ in factorize(group.order)}
+    owner = [-1] * group.order
     edges = []
     for j, large in enumerate(subs):
-        members = set(large.members)
-        for p in primes:
-            if large.order % p:
-                continue
-            for i in by_order[large.order // p]:
-                if subs[i].generator in members:
-                    edges.append((i, j))
+        for x in large.members:
+            i = owner[x]
+            if i < 0:
+                owner[x] = j
+            elif large.order // subs[i].order in primes:
+                edges.append((i, j))
     labels = []
     for s in subs:
         if s.order == 1:

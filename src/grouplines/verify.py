@@ -172,6 +172,7 @@ def _case_check(
     is_cyclic: bool,
     predicted: bool,
     factors: tuple[tuple[int, int], ...],
+    order_class: OrderClass,
 ) -> CaseCheck | None:
     """The check of the case whose hypothesis the group satisfies, if any.
 
@@ -180,7 +181,7 @@ def _case_check(
     is read off `first`, the first vertex of each order, and a block's size
     is the next block's start minus its own.
     """
-    order_class, actual = record.order_class, verdict.is_line_graph
+    actual = verdict.is_line_graph
     if order_class is OrderClass.TRIVIAL:
         return None
     if predicted:
@@ -267,20 +268,21 @@ def _group_rows(record: GroupRecord) -> _Rows:
     lg = build_gamma(group)
     verdict = decide_gamma(lg)
     is_cyclic = lg.labels[-1].order == group.order
-    predicted = _predicted(is_cyclic, record.order_class)
-    factors = factorize(group.order).factors
+    factors = factorize(group.order)
+    order_class = classify_order(factors)
+    predicted = _predicted(is_cyclic, order_class)
     g = lg.graph
     return (
         TheoremRow(
             name=record.source,
             order=group.order,
-            order_class=record.order_class,
+            order_class=order_class,
             is_cyclic=is_cyclic,
             predicted=predicted,
             actual=verdict.is_line_graph,
             witness=_witness_summary(lg, verdict),
         ),
-        _case_check(record, lg, verdict, is_cyclic, predicted, factors),
+        _case_check(record, lg, verdict, is_cyclic, predicted, factors, order_class),
         CompletenessRow(
             name=record.source,
             order=group.order,

@@ -139,17 +139,17 @@ def test_criterion_4_case_theorem_witnesses(catalog60):
         if c.case == "three-primes":
             assert c.center_order == 1
             assert len(set(c.leaf_orders)) == 3
-            assert all(len(factorize(o).factors) == 1 for o in c.leaf_orders)
+            assert all(len(factorize(o)) == 1 for o in c.leaf_orders)
         elif c.case == "noncyclic-abelian":
             assert c.center_order == 1
             assert len(set(c.leaf_orders)) == 1
             t = c.leaf_orders[0]
-            assert factorize(t).factors == ((t, 1),)
+            assert factorize(t) == ((t, 1),)
         elif c.case == "nonabelian-pq":
             assert c.center_order == 1
             assert len(set(c.leaf_orders)) == 1
             p = c.leaf_orders[0]
-            assert factorize(p).factors == ((p, 1),)
+            assert factorize(p) == ((p, 1),)
     assert negatives > 0
     print(
         f"\nACCEPTANCE PASS criterion 4: {negatives} negative cases carry"
@@ -171,7 +171,7 @@ def test_criterion_6_completeness_claim(catalog60):
     report = check_completeness_claim(catalog60)
     assert report.passed, [r for r in report.rows if not r.ok]
     complete_orders = {r.order for r in report.rows if r.complete}
-    assert all(o == 1 or factorize(o).factors == ((o, 1),) for o in complete_orders)
+    assert all(o == 1 or factorize(o) == ((o, 1),) for o in complete_orders)
     print(
         f"\nACCEPTANCE PASS criterion 6: completeness holds over"
         f" {len(report.rows)} groups (trivial and prime orders only)"
@@ -225,8 +225,8 @@ def test_criterion_8_property_suite(catalog60, forbidden):
         prime_orders = {
             lab.order
             for lab in lg.labels
-            if len(factorize(lab.order).factors) == 1
-            and factorize(lab.order).factors[0][1] == 1
+            if len(factorize(lab.order)) == 1
+            and factorize(lab.order)[0][1] == 1
         }
         assert neighbor_orders == prime_orders, record.source
 

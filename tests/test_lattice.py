@@ -167,7 +167,20 @@ def covering_pairs_by_scan(group):
 
 
 @pytest.mark.parametrize(
-    "spec", ["Z160", "Z4xZ40", "D80", "Dic40", "S5", "Z2xZ2xZ2xZ2xZ2xZ2xZ2"]
+    "spec",
+    [
+        "Z160",
+        "Z4xZ40",
+        "D80",
+        "Dic40",
+        "S5",
+        "Z2xZ2xZ2xZ2xZ2xZ2xZ2",
+        "A5xZ7",
+        "S4xZ5",
+        "Dic9xZ5",
+        "Z3xZ27",
+        "Z2048",
+    ],
 )
 def test_prime_index_edges_match_the_covering_scan_beyond_order_60(spec):
     group = parse_group_spec(spec)

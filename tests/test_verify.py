@@ -282,6 +282,37 @@ def test_verify_builds_each_gamma_once(monkeypatch, capsys):
     assert calls["is_cyclic"] <= 146
 
 
+def test_verify_and_check_factorize_each_order_at_most_twice(monkeypatch, capsys):
+    import sys
+    from functools import partial
+
+    from grouplines import verify
+    from grouplines.cli import main
+    from grouplines.fanout import fan_out
+    from grouplines.groups import factorize
+
+    # The counter sees only this process, so the groups are not forked out.
+    monkeypatch.setattr(verify, "fan_out", partial(fan_out, _workers=1))
+    calls = 0
+
+    def counted(n):
+        nonlocal calls
+        calls += 1
+        return factorize(n)
+
+    # Every module of the package that imported `factorize` by name.
+    for name, module in list(sys.modules.items()):
+        if name.startswith("grouplines") and getattr(module, "factorize", None) is factorize:
+            monkeypatch.setattr(module, "factorize", counted)
+    assert main(["verify", "--max-order", "60"]) == 0
+    capsys.readouterr()
+    assert calls <= 2 * 146
+    calls = 0
+    assert main(["check", "Z60"]) == 0
+    capsys.readouterr()
+    assert calls == 1
+
+
 def test_verify_catalog_matches_the_three_reports(catalog15):
     from grouplines.verify import verify_catalog
 
