@@ -272,10 +272,16 @@ class FiniteGroup:
         return tuple(subs)
 
     def is_abelian(self) -> bool:
-        """The generators from `_generators` commute pairwise."""
+        """The generators from `_generators` commute pairwise.  Each is
+        tested against the earlier ones as it is yielded, so the first pair
+        that does not commute ends the test before the group is closed."""
         mul = self.mul
-        gens = list(_generators(self.order, mul))
-        return all(mul(a, b) == mul(b, a) for a, b in itertools.combinations(gens, 2))
+        gens: list[int] = []
+        for g in _generators(self.order, mul):
+            if any(mul(a, g) != mul(g, a) for a in gens):
+                return False
+            gens.append(g)
+        return True
 
     def is_cyclic(self) -> bool:
         """A largest cyclic subgroup is the whole group."""
@@ -442,9 +448,12 @@ def from_cayley_table(text: str, name: str = "table") -> FiniteGroup:
         parts = ln.split()
         if len(parts) != n:
             raise GroupTableError(f"row {i} has {len(parts)} entries, expected {n}")
-        for p in parts:
-            if not (p.isascii() and p.isdigit()):
-                raise GroupTableError(f"row {i} has a bad entry {p!r}")
+        # Entries are non-empty, so the row's joined entries are all ASCII
+        # digits exactly when each entry is; only a failing row is searched.
+        joined = "".join(parts)
+        if not (joined.isascii() and joined.isdigit()):
+            p = next(p for p in parts if not (p.isascii() and p.isdigit()))
+            raise GroupTableError(f"row {i} has a bad entry {p!r}")
         table.append(parts)
     if any(max(map(len, row)) > len(order) for row in table):
         # Past leading zeros, entries longer than n are out of range; name the

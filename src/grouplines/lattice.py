@@ -12,7 +12,8 @@ exactly when |D|/|<x>| is prime, one of the primes of |G|.  With the
 vertices sorted by order, <x> is `owner[x]`, the first vertex containing x:
 every cyclic subgroup containing x contains <x>, so it is <x> itself or has
 a larger order and comes later.  One pass over the member tuples sets each
-owner and finds each cover, with no products beyond the subgroup walk.
+owner and finds each cover, with no products beyond the subgroup walk; a
+cover is taken at the least generator of <x> only, so each is found once.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ def build_gamma(group: FiniteGroup) -> LabeledGraph:
             i = owner[x]
             if i < 0:
                 owner[x] = j
-            elif large.order // subs[i].order in primes:
+            elif x == subs[i].generator and large.order // subs[i].order in primes:
                 edges.append((i, j))
     labels = []
     for s in subs:

@@ -13,6 +13,14 @@ Deleting a non-cut vertex of a connected line graph leaves a connected line
 graph too, so every pattern, and every connected line graph of the next
 level, is a one-vertex extension of a connected line graph.  Only the count
 of patterns is asserted.
+
+Most extensions are settled without Krausz's test.  A line graph is
+claw-free, so an induced claw in an extension of one runs through the new
+vertex (`_claw_at`).  On five or more vertices such an extension strictly
+contains a claw: it is not a line graph, and deleting a vertex outside the
+claw leaves a non-line graph, so it is not minimal either.  Skipping it
+leaves every level's line graphs and minimal graphs as they are, and
+Krausz's test stays the only line-graph test.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from typing import Iterator, NamedTuple, Sequence
 from .graphs import (
     SearchPlan,
     SimpleGraph,
+    _bits,
     _Frozen,
     canonical_key,
     connected_components,
@@ -253,6 +262,26 @@ def _has_krausz_cover(adj: Sequence[int]) -> bool:
     return cover(adj, 0, 0)
 
 
+def _claw_at(adj: Sequence[int], v: int) -> bool:
+    """Whether vertex v of the graph with neighbour masks adj lies in an
+    induced claw: as its centre, with three pairwise non-adjacent
+    neighbours, or as a leaf, joined to a centre with two more neighbours
+    adjacent neither to each other nor to v."""
+    near = adj[v]
+    for a in _bits(near):
+        # Neighbours of v after a and not adjacent to it, then the same for b.
+        after_a = near & ~adj[a] & -(2 << a)
+        for b in _bits(after_a):
+            if after_a & ~adj[b] & -(2 << b):
+                return True
+    for centre in _bits(near):
+        far = adj[centre] & ~near & ~(1 << v)
+        for a in _bits(far):
+            if far & ~adj[a] & ~(1 << a):
+                return True
+    return False
+
+
 def _grown_levels(
     top: int,
 ) -> Iterator[tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]]:
@@ -261,8 +290,10 @@ def _grown_levels(
 
     Level n extends each connected line graph on n - 1 vertices by a new
     vertex with a non-zero neighbour mask and decides each extension with
-    Krausz's test.  A non-line extension is minimal when deleting any old
-    vertex leaves a line graph; deleting the new vertex leaves the base.
+    Krausz's test, except that from n = 5 on an extension with a claw at
+    the new vertex is skipped: it is neither a line graph nor minimal.  A
+    non-line extension is minimal when deleting any old vertex leaves a line
+    graph; deleting the new vertex leaves the base.
     The line graphs on `top` vertices are not canonicalised, as no level
     grows from them, so that level yields none.
     """
@@ -276,6 +307,8 @@ def _grown_levels(
             for mask in range(1, new):
                 adj = [m | new if mask >> v & 1 else m for v, m in enumerate(base)]
                 adj.append(mask)
+                if n >= 5 and _claw_at(adj, n - 1):
+                    continue
                 if _has_krausz_cover(adj):
                     if n < top:
                         lines.add(canonical_key(SimpleGraph(n, tuple(adj))))

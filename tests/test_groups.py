@@ -316,6 +316,15 @@ def test_table_builders_match_the_cell_by_cell_formulas(monkeypatch, tmp_path):
         assert g.is_cyclic() == twin.is_cyclic() == (n in orders), spec
 
 
+def test_is_abelian_matches_commutation_of_every_pair():
+    from test_verify import WIDE_PRODUCT_SPECS
+
+    for spec in (*catalog_specs(60), *WIDE_PRODUCT_SPECS):
+        g = parse_group_spec(spec)
+        pairs = itertools.product(range(g.order), repeat=2)
+        assert g.is_abelian() == all(g.mul(a, b) == g.mul(b, a) for a, b in pairs), spec
+
+
 # ---------------------------------------------------------------------------
 # table file format
 

@@ -187,6 +187,27 @@ def test_prime_index_edges_match_the_covering_scan_beyond_order_60(spec):
     assert set(build_gamma(group).graph.edges()) == covering_pairs_by_scan(group)
 
 
+def test_each_cover_is_added_once(monkeypatch):
+    # Γ's edges reach SimpleGraph.from_edges as one list per group; a cover
+    # found once per generator of the smaller subgroup would repeat in it.
+    import grouplines.lattice as lattice_mod
+
+    real = lattice_mod.SimpleGraph
+    passed = []
+
+    class Recording:
+        @staticmethod
+        def from_edges(n, edges):
+            passed.append(list(edges))
+            return real.from_edges(n, passed[-1])
+
+    monkeypatch.setattr(lattice_mod, "SimpleGraph", Recording)
+    for spec in (*catalog_specs(60), "Z2048", "D1024", "Dic512", "A5xZ30", "S4xZ35"):
+        graph = build_gamma(parse_group_spec(spec)).graph
+        edges = passed.pop()
+        assert len(set(edges)) == len(edges) == graph.edge_count(), spec
+
+
 def test_prime_index_edges_match_the_covering_scan_over_the_catalog():
     for record in build_catalog(60):
         edges = set(build_gamma(record.group).graph.edges())

@@ -9,10 +9,13 @@ from grouplines.graphs import (
     SimpleGraph,
     canonical_key,
     check_induced_embedding,
+    graph_from_key,
     is_connected,
 )
 from grouplines.linegraph import (
+    CLAW,
     ForbiddenSet,
+    _claw_at,
     _grown_levels,
     _has_krausz_cover,
     derive_forbidden_set,
@@ -293,6 +296,37 @@ def test_cold_derivation_canonicalises_only_what_it_needs():
     linegraph_mod.derive_forbidden_set.cache_clear()
     derive_forbidden_set()
     assert graphs_mod.canonical_key.cache_info().misses <= 103
+
+
+def test_cold_derivation_runs_krausz_only_on_claw_free_extensions(monkeypatch):
+    # Testing every extension, claw or not, takes 975 Krausz tests.
+    real = linegraph_mod._has_krausz_cover
+    calls = []
+
+    def counted(adj):
+        calls.append(1)
+        return real(adj)
+
+    monkeypatch.setattr(linegraph_mod, "_has_krausz_cover", counted)
+    linegraph_mod.derive_forbidden_set.cache_clear()
+    derive_forbidden_set()
+    assert len(calls) <= 600
+
+
+def test_claw_at_the_new_vertex_matches_the_claw_search():
+    # Each base is a line graph, so claw-free: any claw in an extension
+    # runs through the new vertex.
+    levels = [keys for keys, _ in _grown_levels(6)]
+    checked = 0
+    for n in (4, 5):
+        for key in levels[n - 1]:
+            base = graph_from_key(key).adj
+            for mask in range(1, 1 << n):
+                adj = [m | 1 << n if mask >> v & 1 else m for v, m in enumerate(base)]
+                g = SimpleGraph(n + 1, (*adj, mask))
+                assert _claw_at(g.adj, n) == (find_induced(g, CLAW) is not None), (key, mask)
+                checked += 1
+    assert checked == 5 * 15 + 12 * 31
 
 
 def test_forbidden_set_validates_its_shape():
