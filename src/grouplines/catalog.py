@@ -4,6 +4,10 @@ Spec grammar: `Z<n>` | `D<n>` (order 2n) | `Dic<n>` (order 4n) | `S<n>` |
 `A<n>` | `<spec>x<spec>` (direct product, left-associative) | `file:<path>`
 (Cayley-table file).  A spec that starts with `file:` is taken as a single
 path; inside a product, `file:` tokens must not contain the letter x.
+
+`_KINDS` is the one table of atom kinds.  `_read_spec` reads a product spec
+in one pass to its order and factors: `parse_group_spec` builds the group
+from them, and `catalog_specs` sorts by the order.
 """
 
 from __future__ import annotations
@@ -25,34 +29,29 @@ from .groups import (
     make_symmetric,
 )
 
-# ASCII digits only: \d would also take other Unicode digits, which int() reads.
-_ATOM = re.compile(r"(Dic|Z|D|S|A)([0-9]+)")
-
 # The largest group order a spec may build, as the README gives it; larger
 # specs are refused before any group is built.  A spec that is a single
 # table file is not capped: its table is the input.
 MAX_SPEC_ORDER = 2048
 
-# The parameters each constructor takes, within the order limit.
-_PARAMETERS = {
-    "Z": range(1, MAX_SPEC_ORDER + 1),
-    "D": range(1, MAX_SPEC_ORDER // 2 + 1),
-    "Dic": range(2, MAX_SPEC_ORDER // 4 + 1),
-    "S": range(1, 6),
-    "A": range(3, 6),
+# Each atom kind: its constructor, the parameters it takes within the order
+# limit, and the factors whose product is its order.  D and Dic give their
+# order as one factor, so a zero parameter is named before the limit fires.
+_KINDS = {
+    "Z": (make_cyclic, range(1, MAX_SPEC_ORDER + 1), lambda n: (n,)),
+    "D": (make_dihedral, range(1, MAX_SPEC_ORDER // 2 + 1), lambda n: (2 * n,)),
+    "Dic": (make_dicyclic, range(2, MAX_SPEC_ORDER // 4 + 1), lambda n: (4 * n,)),
+    # |S_n| = 2*3*...*n and |A_n| = 3*4*...*n for n >= 2.
+    "S": (make_symmetric, range(1, 6), lambda n: range(2, n + 1)),
+    "A": (make_alternating, range(3, 6), lambda n: range(3, n + 1)),
 }
+
+# ASCII digits only: \d would also take other Unicode digits, which int() reads.
+_ATOM = re.compile(f"({'|'.join(_KINDS)})([0-9]+)")
 
 # The largest order in the built-in catalog (Z60 and A5); `catalog_specs`
 # with a larger max_order returns the same specs.
 CATALOG_MAX_ORDER = 60
-
-_CONSTRUCTORS = {
-    "Z": make_cyclic,
-    "D": make_dihedral,
-    "Dic": make_dicyclic,
-    "S": make_symmetric,
-    "A": make_alternating,
-}
 
 
 def parse_group_spec(spec: str) -> FiniteGroup:
@@ -67,21 +66,45 @@ def parse_group_spec(spec: str) -> FiniteGroup:
         raise ValueError("empty group spec")
     if spec.startswith("file:"):
         return _load_table(spec[len("file:") :])
-    order = _spec_order(spec)
-    tokens = spec.split("x")
-    files = {
-        i: _load_table(token[len("file:") :])
-        for i, token in enumerate(tokens)
-        if token.startswith("file:")
-    }
-    _guarded(order * math.prod(table.order for table in files.values()), spec)
-    groups = [files[i] if i in files else _atom(token) for i, token in enumerate(tokens)]
-    return direct_product(*groups)
+    order, factors = _read_spec(spec)
+    factors = [_load_table(f) if isinstance(f, str) else f for f in factors]
+    _guarded(order * math.prod(f.order for f in factors if isinstance(f, FiniteGroup)), spec)
+    return direct_product(*(_KINDS[f[0]][0](f[1]) if isinstance(f, tuple) else f for f in factors))
 
 
-def _atom(token: str) -> FiniteGroup:
-    kind, n = _ATOM.fullmatch(token).groups()
-    return _CONSTRUCTORS[kind](int(n.lstrip("0")))
+def _read_spec(spec: str) -> tuple[int, list[tuple[str, int] | str]]:
+    """The order of the group a product spec names, from the grammar alone,
+    and its factors: `(kind, n)` for a built-in atom, the path for a `file:`
+    token.
+
+    `file:` factors count as 1.  Tokens are checked from left to right, and
+    ValueError names the first faulty one: a token that does not parse, a
+    parameter its constructor refuses, or an order above MAX_SPEC_ORDER as
+    soon as a partial product passes it, so a huge spec costs nothing.
+    """
+    order = 1
+    factors: list[tuple[str, int] | str] = []
+    for token in spec.split("x"):
+        if token.startswith("file:"):
+            factors.append(token[len("file:") :])
+            continue
+        m = _ATOM.fullmatch(token)
+        if not m:
+            raise ValueError(f"bad group spec token {token!r} in {spec!r}")
+        kind, digits = m.groups()
+        # Digits past the guard's width only make the order larger, and int()
+        # may refuse a string of over 4300 digits.
+        n = int(digits.lstrip("0")[: len(str(MAX_SPEC_ORDER)) + 1] or 0)
+        _, allowed, order_factors = _KINDS[kind]
+        for factor in order_factors(n):
+            order = _guarded(order * factor, spec)
+        if n not in allowed:
+            raise ValueError(
+                f"bad group spec token {token!r} in {spec!r}: the {kind}"
+                f" parameter must be in {allowed.start}..{allowed.stop - 1}"
+            )
+        factors.append((kind, n))
+    return order, factors
 
 
 def _load_table(path: str) -> FiniteGroup:
@@ -159,44 +182,8 @@ def catalog_specs(max_order: int = CATALOG_MAX_ORDER) -> tuple[str, ...]:
         "S4",
         "A5",
     ]
-    entries = sorted((_spec_order(source), source) for source in specs)
+    entries = sorted((_read_spec(source)[0], source) for source in specs)
     return tuple(source for order, source in entries if order <= max_order)
-
-
-def _spec_order(spec: str) -> int:
-    """The order of the group a spec names, from the grammar alone.
-
-    `file:` factors count as 1.  Tokens are checked from left to right, and
-    ValueError names the first faulty one: a token that does not parse, a
-    parameter its constructor refuses, or an order above MAX_SPEC_ORDER as
-    soon as a partial product passes it, so a huge spec costs nothing.
-    """
-    order = 1
-    for token in spec.split("x"):
-        if token.startswith("file:"):
-            continue
-        m = _ATOM.fullmatch(token)
-        if not m:
-            raise ValueError(f"bad group spec token {token!r} in {spec!r}")
-        kind, digits = m.group(1), m.group(2).lstrip("0")
-        # Digits past the guard's width only make the order larger, and int()
-        # may refuse a string of over 4300 digits.
-        n = int(digits[: len(str(MAX_SPEC_ORDER)) + 1] or 0)
-        if kind in ("S", "A"):
-            # |S_n| = 2*3*...*n and |A_n| = 3*4*...*n for n >= 2.
-            factor = 1
-            for i in range(2 if kind == "S" else 3, n + 1):
-                factor = _guarded(factor * i, spec)
-        else:
-            factor = n * {"Z": 1, "D": 2, "Dic": 4}[kind]
-        order = _guarded(order * factor, spec)
-        allowed = _PARAMETERS[kind]
-        if n not in allowed:
-            raise ValueError(
-                f"bad group spec token {token!r} in {spec!r}: the {kind}"
-                f" parameter must be in {allowed.start}..{allowed.stop - 1}"
-            )
-    return order
 
 
 def _guarded(order: int, spec: str) -> int:

@@ -32,17 +32,9 @@ R = TypeVar("R")
 MIN_ITEMS_PER_WORKER = 16
 
 
-def fan_out(
-    fn: Callable[[T], R], items: Sequence[T], *, _workers: int | None = None
-) -> list[R]:
-    """`[fn(x) for x in items]`, computed in up to one process per CPU.
-
-    `_workers` fixes the number of processes, the parent included, in place
-    of the CPU count and the cost rule; tests use it to force either path.
-    """
-    if _workers is None:
-        _workers = min(_cpu_count(), len(items) // MIN_ITEMS_PER_WORKER)
-    workers = min(_workers, len(items))
+def fan_out(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
+    """`[fn(x) for x in items]`, computed in up to one process per CPU."""
+    workers = min(_cpu_count(), len(items) // MIN_ITEMS_PER_WORKER)
     if workers <= 1 or not _can_fork():
         return [fn(x) for x in items]
     import pickle

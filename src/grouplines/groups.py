@@ -40,10 +40,10 @@ nothing validates them again.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from collections.abc import Callable, Iterator, Sequence
 from enum import Enum
+from math import gcd
 from typing import NamedTuple
 
 
@@ -215,14 +215,18 @@ class FiniteGroup:
             self._table = table
         return self._table
 
-    def element_order(self, g: int) -> int:
+    def _powers(self, g: int) -> list[int]:
+        """The powers 0 = g^0, g, g^2, ... of g, up to the identity."""
         mul = self.mul
+        powers = [0]
         x = g
-        k = 1
         while x != 0:
+            powers.append(x)
             x = mul(x, g)
-            k += 1
-        return k
+        return powers
+
+    def element_order(self, g: int) -> int:
+        return len(self._powers(g))
 
     def order_histogram(self) -> dict[int, int]:
         """Multiset of element orders; an isomorphism invariant."""
@@ -233,13 +237,8 @@ class FiniteGroup:
         return dict(sorted(hist.items()))
 
     def cyclic_subgroup(self, g: int) -> Subgroup:
-        mul = self.mul
-        members = [0]
-        x = g
-        while x != 0:
-            members.append(x)
-            x = mul(x, g)
-        return Subgroup(len(members), tuple(sorted(members)), g)
+        powers = self._powers(g)
+        return Subgroup(len(powers), tuple(sorted(powers)), g)
 
     def cyclic_subgroups(self) -> tuple[Subgroup, ...]:
         """All distinct cyclic subgroups, sorted by (order, members).
@@ -252,20 +251,16 @@ class FiniteGroup:
         the smallest generator of <g>.  The cost is the sum of the subgroup
         orders, not of the element orders.
         """
-        mul = self.mul
         covered = bytearray(self.order)
         subs = []
         for g in range(self.order):
             if covered[g]:
                 continue
-            powers = [0]
-            x = g
-            while x != 0:
-                powers.append(x)
-                x = mul(x, g)
+            powers = self._powers(g)
             m = len(powers)
-            for k in range(1, m):
-                if math.gcd(k, m) == 1:
+            # k = 1 is g itself, which the loop has passed.
+            for k in range(2, m):
+                if gcd(k, m) == 1:
                     covered[powers[k]] = 1
             subs.append(Subgroup(m, tuple(sorted(powers)), g))
         subs.sort()

@@ -128,6 +128,17 @@ def test_check_rejects_non_ascii_digits(capsys, spec):
     assert f"bad group spec token {spec.split('x')[-1]!r}" in err
 
 
+def test_bad_specs_print_the_checked_in_messages(capsys):
+    # Which fault is named when a spec has several is part of the message.
+    specs = (DATA / "bad_specs.txt").read_text(encoding="utf-8").splitlines()
+    errs = []
+    for spec in specs:
+        code, out, err = run(capsys, "check", spec)
+        assert code == 2 and out == "", spec
+        errs.append(err)
+    assert "".join(errs) == (DATA / "bad_specs_stderr.txt").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize(
     "text, token",
     [
@@ -332,14 +343,11 @@ def test_forbidden_output_is_unchanged(capsys, tmp_path):
 
 
 def test_check_and_verify_derive_no_forbidden_patterns(capsys, monkeypatch, tmp_path):
-    from functools import partial
-
-    from grouplines import verify
-    from grouplines.fanout import fan_out
+    from grouplines import fanout
     from grouplines.linegraph import derive_forbidden_set
 
     # The cache counts only this process, so the groups are not forked out.
-    monkeypatch.setattr(verify, "fan_out", partial(fan_out, _workers=1))
+    monkeypatch.setattr(fanout, "_cpu_count", lambda: 1)
     derive_forbidden_set.cache_clear()
     for argv in (["check", "S3"], ["check", "Z15"], ["verify", "--max-order", "60"]):
         assert main(argv) == 0
@@ -505,6 +513,22 @@ def test_the_reader_agrees_with_argparse_on_a_random_corpus():
 )
 def test_the_reader_leaves_every_other_command_line_to_argparse(argv):
     assert cli.read_plain(argv) is None
+
+
+@pytest.mark.parametrize(
+    "argv, usage",
+    [
+        (["check"], "usage: grouplines check"),
+        (["verify", "--max-order", "x"], "usage: grouplines verify"),
+        (["gamma", "Z6", "--format", "svg"], "usage: grouplines gamma"),
+    ],
+)
+def test_usage_errors_exit_2_with_argparses_usage(capsys, argv, usage):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(usage)
 
 
 def plain_command_lines():

@@ -6,7 +6,6 @@ import os
 import random
 import signal
 import threading
-from functools import partial
 from pathlib import Path
 
 import pytest
@@ -42,7 +41,10 @@ def forks(monkeypatch):
 
 
 def force_workers(monkeypatch, workers):
-    monkeypatch.setattr(verify, "fan_out", partial(fan_out, _workers=workers))
+    """Up to `workers` processes, the parent included, at any CPU count and
+    for any number of items."""
+    monkeypatch.setattr(fanout, "_cpu_count", lambda: workers)
+    monkeypatch.setattr(fanout, "MIN_ITEMS_PER_WORKER", 1)
 
 
 def relabelled_table(spec, rng):
@@ -75,9 +77,10 @@ def table_paths(tmp_path_factory):
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 4])
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 17])
-def test_results_come_back_in_item_order(workers, n, forks):
+def test_results_come_back_in_item_order(monkeypatch, workers, n, forks):
+    force_workers(monkeypatch, workers)
     items = [(i * 7) % 11 for i in range(n)]
-    assert fan_out(lambda x: (x, x * x), items, _workers=workers) == [
+    assert fan_out(lambda x: (x, x * x), items) == [
         (x, x * x) for x in items
     ]
     assert len(forks) == max(0, min(workers, n) - 1)
@@ -86,19 +89,22 @@ def test_results_come_back_in_item_order(workers, n, forks):
 
 @pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("bad", [{4}, {5}, {3, 4, 5}, {2, 7}, {9}])
-def test_the_first_failing_item_is_raised(workers, bad):
+def test_the_first_failing_item_is_raised(monkeypatch, workers, bad):
+    force_workers(monkeypatch, workers)
+
     def fn(x):
         if x in bad:
             raise ValueError(f"item {x}")
         return x
 
     with pytest.raises(ValueError, match=rf"^item {min(bad)}$"):
-        fan_out(fn, list(range(10)), _workers=workers)
+        fan_out(fn, list(range(10)))
     assert_no_child_left()
 
 
 @pytest.mark.parametrize("how", ["exit", "kill"])
-def test_a_worker_that_sends_nothing_raises(how):
+def test_a_worker_that_sends_nothing_raises(monkeypatch, how):
+    force_workers(monkeypatch, 3)
     parent = os.getpid()
 
     def die_in_a_child(x):
@@ -109,7 +115,7 @@ def test_a_worker_that_sends_nothing_raises(how):
         return x
 
     with pytest.raises(RuntimeError, match="without sending its results"):
-        fan_out(die_in_a_child, list(range(9)), _workers=3)
+        fan_out(die_in_a_child, list(range(9)))
     assert_no_child_left()
 
 
@@ -118,15 +124,17 @@ def test_a_failed_fork_leaves_the_share_to_the_parent(monkeypatch):
         raise OSError("no fork")
 
     monkeypatch.setattr(os, "fork", refuse)
-    assert fan_out(str, range(7), _workers=3) == [str(i) for i in range(7)]
+    force_workers(monkeypatch, 3)
+    assert fan_out(str, range(7)) == [str(i) for i in range(7)]
 
 
-def test_no_fork_while_another_thread_is_alive(forks):
+def test_no_fork_while_another_thread_is_alive(monkeypatch, forks):
+    force_workers(monkeypatch, 3)
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
-        assert fan_out(str, range(7), _workers=3) == [str(i) for i in range(7)]
+        assert fan_out(str, range(7)) == [str(i) for i in range(7)]
     finally:
         stop.set()
         thread.join(timeout=10)

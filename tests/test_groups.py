@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from grouplines import groups
-from grouplines.catalog import _atom, build_catalog, catalog_specs, parse_group_spec
+from grouplines.catalog import build_catalog, catalog_specs, parse_group_spec
 from grouplines.groups import (
     FiniteGroup,
     GroupTableError,
@@ -157,7 +157,7 @@ def test_direct_product_of_many_factors_matches_pairwise_products():
     specs = _product_specs()
     assert any(s.count("x") >= 2 for s in specs)
     for spec in specs:
-        factors = [_atom(token) for token in spec.split("x")]
+        factors = [parse_group_spec(token) for token in spec.split("x")]
         pairwise = reduce(direct_product, factors)
         for g in (direct_product(*factors), parse_group_spec(spec)):
             assert g.table == pairwise.table, spec

@@ -6,6 +6,7 @@ from grouplines.catalog import build_catalog, catalog_specs, load_record, parse_
 from grouplines.graphs import check_induced_embedding
 from grouplines.groups import (
     direct_product,
+    factorize,
     make_cyclic,
     make_dicyclic,
     make_dihedral,
@@ -258,6 +259,27 @@ def test_gamma_is_the_subgroup_graph_induced_on_the_cyclic_subgroups():
         adj = lattice.adj
         assert all(adj[u] & adj[v] == 0 for u, v in lattice.edges()), record.source
         assert (max(lattice.degrees()) <= 2) == predict(group), record.source
+
+
+def test_gamma_is_graded_by_omega_and_a_tree_exactly_for_eppo_groups():
+    # Each edge joins subgroups of prime index, so Ω(|H|) grades Γ.  In an
+    # EPPO group (every element of prime-power order) each <x> != 1 covers
+    # one subgroup only; a cyclic subgroup of order pq covers two.  Γ is
+    # connected, so it is a tree exactly when it has V - 1 edges.
+    checked = (Path(__file__).parent / "data" / "check_specs.txt").read_text("utf-8")
+    trees = 0
+    specs = sorted({*checked.split(), *catalog_specs(60)})
+    for spec in specs:
+        lg = build_gamma(parse_group_spec(spec))
+        orders = [lab.order for lab in lg.labels]
+        for u, v in lg.graph.edges():
+            small, large = sorted((orders[u], orders[v]))
+            assert large % small == 0, spec
+            assert factorize(large // small) == ((large // small, 1),), spec
+        eppo = all(len(factorize(order)) <= 1 for order in orders)
+        assert (lg.graph.edge_count() == lg.graph.n - 1) == eppo, spec
+        trees += eppo
+    assert 0 < trees < len(specs)
 
 
 # ---------------------------------------------------------------------------
