@@ -13,7 +13,9 @@ from them, and `catalog_specs` sorts by the order.
 from __future__ import annotations
 
 import math
+import os
 import re
+import stat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -110,6 +112,11 @@ def _read_spec(spec: str) -> tuple[int, list[tuple[str, int] | str]]:
 def _load_table(path: str) -> FiniteGroup:
     if not path:
         raise ValueError("empty path in file: spec")
+    # A device such as /dev/zero never ends, so it is refused unread; a
+    # missing file raises here with the message open() would give.
+    mode = os.stat(path).st_mode
+    if stat.S_ISCHR(mode) or stat.S_ISBLK(mode):
+        raise ValueError(f"table file {path!r} is a device, not a file")
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:

@@ -1,10 +1,12 @@
 """Command-line surface: build graphs, decide line-graph membership, emit the
 forbidden patterns, and run the full classification check.
 
-Each subcommand's arguments are declared once, in `COMMANDS`; `build_parser`
-builds the argparse parser from that table.  A plain command line (the
-subcommand name, its positionals, and options spelled out in full, each with
-its value as the next token) is read directly by `read_plain`, which returns
+Each subcommand's arguments are declared once, in `COMMANDS`, in argparse's
+own terms: each option is its flags plus the keywords `build_parser` passes to
+`add_argument` unchanged (`type=int`, `choices`, `action="append"`,
+`default`, `required`).  A plain command line (the subcommand name, its
+positionals, and options spelled out in full, each with its value as the next
+token) is read directly by `read_plain` from the same keywords, and it returns
 the Namespace argparse would.  Help, abbreviations, `--opt=value`, `--` and
 every error go through argparse, so their output and exit codes are argparse's.
 
@@ -18,9 +20,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from pathlib import Path
-from typing import NamedTuple
 
 from .catalog import CATALOG_MAX_ORDER, catalog_sources, parse_group_spec
 from .graphs import format_graph_text
@@ -57,6 +58,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_forbidden(args: argparse.Namespace) -> int:
+    # Path("") is the current directory, which an unset shell variable names.
+    if not args.out:
+        raise ValueError("--out is empty; name the directory to write the patterns to")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     forbidden = derive_forbidden_set()
@@ -72,7 +76,8 @@ def cmd_forbidden(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    sources = catalog_sources(args.max_order, tuple(args.catalog))
+    catalog = tuple(args.catalog or ())
+    sources = catalog_sources(args.max_order, catalog)
     if not sources:
         raise ValueError(
             f"--max-order {args.max_order} selects no built-in group (the smallest"
@@ -82,7 +87,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.max_order > CATALOG_MAX_ORDER:
         print(
             f"note: built-in catalog stops at order {CATALOG_MAX_ORDER};"
-            f" {len(sources) - len(args.catalog)} built-in groups used",
+            f" {len(sources) - len(catalog)} built-in groups used",
             file=sys.stderr,
         )
     sys.stdout.write(main_report.to_text())
@@ -93,107 +98,41 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1
 
 
-class Option(NamedTuple):
-    """One option of a subcommand.
-
-    `kind` says how its value is read: "int" (argparse `type=int`), "choice"
-    (one of `choices`), "append" (repeatable; a list, `default` is a tuple)
-    or "plain" (the string as given).
-    """
-
-    flags: tuple[str, ...]
-    dest: str
-    kind: str = "plain"
-    default: object = None
-    choices: tuple[str, ...] = ()
-    required: bool = False
-    metavar: str | None = None
-    help: str | None = None
-
-    def fresh_default(self) -> object:
-        return list(self.default) if self.kind == "append" else self.default
-
-    def argparse_kwargs(self) -> dict[str, object]:
-        kwargs: dict[str, object] = {
-            "dest": self.dest,
-            "default": self.fresh_default(),
-            "required": self.required,
-            "metavar": self.metavar,
-            "help": self.help,
-        }
-        if self.kind == "int":
-            kwargs["type"] = int
-        elif self.kind == "choice":
-            kwargs["choices"] = self.choices
-        elif self.kind == "append":
-            kwargs["action"] = "append"
-        return kwargs
-
-    def read(self, value: str) -> object:
-        """The value argparse would store, or None where argparse must judge:
-        an int that is not plain ASCII digits or is past int()'s digit limit,
-        or a choice outside its set."""
-        if self.kind == "int":
-            if not (value.isascii() and value.isdigit()):
-                return None
-            try:
-                return int(value)
-            except ValueError:
-                return None
-        if self.kind == "choice" and value not in self.choices:
-            return None
-        return value
-
-
-class Command(NamedTuple):
-    """One subcommand: its handler, help, positionals as (name, help), options."""
-
-    name: str
-    handler: Callable[[argparse.Namespace], int]
-    help: str
-    positionals: tuple[tuple[str, str | None], ...] = ()
-    options: tuple[Option, ...] = ()
-
-
-COMMANDS = (
-    Command(
-        "gamma",
+# Each subcommand's handler, help, positionals as (name, help), and options as
+# (flags, keywords), the keywords passed to `add_argument` unchanged.  Every
+# option names its `dest`, as `read_plain` stores its value there.
+COMMANDS = {
+    "gamma": (
         cmd_gamma,
         "build a group's cyclic subgroup graph",
-        positionals=(("spec", "group spec, e.g. Z6, D4, Dic3, S4, Z2xZ3, file:G.tbl"),),
-        options=(
-            Option(("--format",), "format", "choice", "edges", choices=("dot", "edges")),
-        ),
+        (("spec", "group spec, e.g. Z6, D4, Dic3, S4, Z2xZ3, file:G.tbl"),),
+        ((("--format",), {"dest": "format", "choices": ("dot", "edges"), "default": "edges"}),),
     ),
-    Command(
-        "check",
-        cmd_check,
-        "decide whether the graph is a line graph",
-        positionals=(("spec", None),),
-    ),
-    Command(
-        "forbidden",
+    "check": (cmd_check, "decide whether the graph is a line graph", (("spec", None),), ()),
+    "forbidden": (
         cmd_forbidden,
         "derive and write the nine forbidden patterns",
-        options=(Option(("-o", "--out"), "out", required=True, help="output directory"),),
+        (),
+        ((("-o", "--out"), {"dest": "out", "required": True, "help": "output directory"}),),
     ),
-    Command(
-        "verify",
+    "verify": (
         cmd_verify,
         "run the classification over the catalog",
-        options=(
-            Option(("--max-order",), "max_order", "int", CATALOG_MAX_ORDER),
-            Option(
+        (),
+        (
+            (("--max-order",), {"dest": "max_order", "type": int, "default": CATALOG_MAX_ORDER}),
+            (
                 ("--catalog",),
-                "catalog",
-                "append",
-                (),
-                metavar="PATH",
-                help="extra Cayley-table file to include (repeatable)",
+                {
+                    "dest": "catalog",
+                    "action": "append",
+                    "metavar": "PATH",
+                    "help": "extra Cayley-table file to include (repeatable)",
+                },
             ),
         ),
     ),
-)
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -204,13 +143,13 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command in COMMANDS:
-        p = sub.add_parser(command.name, help=command.help)
-        for name, help_text in command.positionals:
-            p.add_argument(name, help=help_text)
-        for option in command.options:
-            p.add_argument(*option.flags, **option.argparse_kwargs())
-        p.set_defaults(func=command.handler)
+    for name, (handler, help_text, positionals, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for positional, positional_help in positionals:
+            p.add_argument(positional, help=positional_help)
+        for flags, keywords in options:
+            p.add_argument(*flags, **keywords)
+        p.set_defaults(func=handler)
     return parser
 
 
@@ -221,11 +160,13 @@ def read_plain(argv: Sequence[str]) -> argparse.Namespace | None:
     Plain means: a subcommand name, then its positionals (tokens that do not
     start with "-") and its options, each spelled out in full and followed by
     its value, which does not start with "-" and which the option accepts.
+    An int must be plain ASCII digits within int()'s digit limit; anything
+    else is left to argparse to judge.
     """
-    command = next((c for c in COMMANDS if argv and c.name == argv[0]), None)
-    if command is None:
+    if not argv or argv[0] not in COMMANDS:
         return None
-    values = {option.dest: option.fresh_default() for option in command.options}
+    handler, _, declared, options = COMMANDS[argv[0]]
+    values = {keywords["dest"]: keywords.get("default") for _, keywords in options}
     given = set()
     positionals = []
     tokens = iter(argv[1:])
@@ -233,28 +174,32 @@ def read_plain(argv: Sequence[str]) -> argparse.Namespace | None:
         if not token.startswith("-"):
             positionals.append(token)
             continue
-        option = next((o for o in command.options if token in o.flags), None)
+        keywords = next((kw for flags, kw in options if token in flags), None)
         value = next(tokens, None)
-        if option is None or value is None or value.startswith("-"):
+        if keywords is None or value is None or value.startswith("-"):
             return None
-        value = option.read(value)
-        if value is None:
+        if keywords.get("type") is int:
+            if not (value.isascii() and value.isdigit()):
+                return None
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif "choices" in keywords and value not in keywords["choices"]:
             return None
-        if option.kind == "append":
-            values[option.dest].append(value)
+        dest = keywords["dest"]
+        if keywords.get("action") == "append":
+            values[dest] = [*(values[dest] or ()), value]
         else:
-            values[option.dest] = value
-        given.add(option.dest)
-    if len(positionals) != len(command.positionals):
+            values[dest] = value
+        given.add(dest)
+    if len(positionals) != len(declared):
         return None
-    if any(o.required and o.dest not in given for o in command.options):
+    if any(kw.get("required") and kw["dest"] not in given for _, kw in options):
         return None
-    names = (name for name, _ in command.positionals)
+    names = (name for name, _ in declared)
     return argparse.Namespace(
-        command=command.name,
-        **dict(zip(names, positionals)),
-        **values,
-        func=command.handler,
+        command=argv[0], **dict(zip(names, positionals)), **values, func=handler
     )
 
 

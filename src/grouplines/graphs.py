@@ -86,6 +86,8 @@ class SimpleGraph(_Frozen):
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> SimpleGraph:
         adj = [0] * n
         for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u}, {v}) has an endpoint outside [0, {n})")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             adj[u] |= 1 << v

@@ -1,8 +1,10 @@
 import contextlib
+import copy
 import io
 import os
 import random
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -182,6 +184,28 @@ def test_a_table_file_that_fails_validation_is_named(capsys, tmp_path):
     assert err == f"error: table file {str(bad)!r}: {message}\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+@pytest.mark.parametrize(
+    "argv", [["check", "file:/dev/zero"], ["verify", "--max-order", "1", "--catalog", "/dev/zero"]]
+)
+def test_a_device_is_refused_unread(argv):
+    # /dev/zero never ends.  The child may map 512 MiB, so reading it fails
+    # fast rather than filling the host's memory.
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "grouplines.cli", *argv],
+        capture_output=True,
+        env=env,
+        timeout=60,
+        preexec_fn=limit_memory,
+    )
+    message = b"error: table file '/dev/zero' is a device, not a file\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", message)
+
+
 BIG = "9" * 5000  # past CPython's default limit of 4300 digits for int()
 
 
@@ -338,6 +362,16 @@ def test_forbidden_output_is_unchanged(capsys, tmp_path):
         assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
 
 
+@pytest.mark.parametrize("argv", [["forbidden", "-o", ""], ["forbidden", "--out="]])
+def test_forbidden_refuses_an_empty_out_before_writing(capsys, tmp_path, monkeypatch, argv):
+    # Path("") is the current directory: an unset shell variable names it.
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: --out is empty; name the directory to write the patterns to\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -470,9 +504,10 @@ def random_argv(rng, commands):
 
 def test_the_reader_agrees_with_argparse_on_a_random_corpus():
     rng = random.Random(12)
-    commands = [c.name for c in cli.COMMANDS]
+    commands = list(cli.COMMANDS)
     read = {name: 0 for name in commands}
     declined = 0
+    set_options = set()
     for _ in range(3000):
         argv = random_argv(rng, commands)
         args = cli.read_plain(argv)
@@ -481,7 +516,13 @@ def test_the_reader_agrees_with_argparse_on_a_random_corpus():
             continue
         assert args == parse_with_argparse(argv), argv
         read[args.command] += 1
+        *_, options = cli.COMMANDS[args.command]
+        for flags, keywords in options:
+            if getattr(args, keywords["dest"]) != keywords.get("default"):
+                set_options.add(flags)
     assert min(read.values()) >= 20 and declined >= 1000, (read, declined)
+    every_option = {flags for *_, options in cli.COMMANDS.values() for flags, _ in options}
+    assert set_options == every_option
 
 
 @pytest.mark.parametrize(
@@ -513,6 +554,19 @@ def test_the_reader_agrees_with_argparse_on_a_random_corpus():
 )
 def test_the_reader_leaves_every_other_command_line_to_argparse(argv):
     assert cli.read_plain(argv) is None
+
+
+def test_reading_a_command_line_leaves_the_table_as_it_was():
+    # An option's default is shared by every parse; appending to it would
+    # carry one command line's --catalog paths into the next.
+    before = copy.deepcopy(cli.COMMANDS)
+    first = ["verify", "--catalog", "a.tbl", "--catalog", "b.tbl"]
+    second = ["verify", "--catalog", "c.tbl"]
+    for read in (cli.read_plain, parse_with_argparse):
+        assert read(first).catalog == ["a.tbl", "b.tbl"]
+        assert read(second).catalog == ["c.tbl"]
+    assert cli.read_plain(["verify"]) == parse_with_argparse(["verify"])
+    assert cli.COMMANDS == before
 
 
 @pytest.mark.parametrize(

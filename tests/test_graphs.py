@@ -68,6 +68,13 @@ def test_rejects_self_loop():
         SimpleGraph.from_edges(2, [(0, 0)])
 
 
+@pytest.mark.parametrize("edge", [(0, 5), (0, -1), (-1, 1)])
+def test_rejects_an_edge_with_an_endpoint_outside_the_vertices(edge):
+    with pytest.raises(ValueError) as exc:
+        SimpleGraph.from_edges(3, [edge])
+    assert str(exc.value) == f"edge {edge} has an endpoint outside [0, 3)"
+
+
 def test_rejects_asymmetric_adjacency():
     with pytest.raises(ValueError, match="symmetric"):
         SimpleGraph(2, (2, 0))
