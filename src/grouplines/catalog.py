@@ -33,8 +33,13 @@ from .groups import (
 
 # The largest group order a spec may build, as the README gives it; larger
 # specs are refused before any group is built.  A spec that is a single
-# table file is not capped: its table is the input.
+# table file is not capped by order: its table is the input.
 MAX_SPEC_ORDER = 2048
+
+# The most bytes a table file may hold; a longer file, or a pipe that goes
+# on, is refused before any decoding.  `to_cayley_table` writes any group of
+# order 2048 in 18,698,251 bytes, as every row permutes the same numbers.
+MAX_TABLE_BYTES = 32 << 20
 
 # Each atom kind: its constructor, the parameters it takes within the order
 # limit, and the factors whose product is its order.  D and Dic give their
@@ -117,8 +122,12 @@ def _load_table(path: str) -> FiniteGroup:
     mode = os.stat(path).st_mode
     if stat.S_ISCHR(mode) or stat.S_ISBLK(mode):
         raise ValueError(f"table file {path!r} is a device, not a file")
+    with open(path, "rb") as f:
+        data = f.read(MAX_TABLE_BYTES + 1)
+    if len(data) > MAX_TABLE_BYTES:
+        raise ValueError(f"table file {path!r} is longer than {MAX_TABLE_BYTES} bytes")
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise GroupTableError(f"table file {path!r} is not UTF-8 at byte {exc.start}") from None
     try:

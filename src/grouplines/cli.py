@@ -25,7 +25,6 @@ from pathlib import Path
 
 from .catalog import CATALOG_MAX_ORDER, catalog_sources, parse_group_spec
 from .graphs import format_graph_text
-from .groups import GroupTableError
 from .lattice import build_gamma, decide_gamma, to_dot, to_edge_list
 from .linegraph import derive_forbidden_set, is_line_graph_by_roots
 from .verify import verify_sources
@@ -220,7 +219,7 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
-    except (GroupTableError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

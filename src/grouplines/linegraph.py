@@ -85,9 +85,8 @@ class ForbiddenSet(_Frozen):
         object.__setattr__(self, "patterns", patterns)
         object.__setattr__(self, "plans", tuple(map(search_plan, patterns)))
 
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(f"Gamma{i}" for i in range(1, 10))
+    # The id of each pattern, in the order of `patterns`.
+    ids = tuple(f"Gamma{i}" for i in range(1, 10))
 
     def items(self) -> tuple[tuple[str, SimpleGraph], ...]:
         return tuple(zip(self.ids, self.patterns))
@@ -113,15 +112,17 @@ def line_graph(h: SimpleGraph) -> SimpleGraph:
 
 
 def _root_by_assignment(
-    comp: SimpleGraph,
-) -> tuple[SimpleGraph, tuple[tuple[int, int], ...]] | None:
-    """A root graph and edge map for a connected graph, or None.
+    adj: Sequence[int], comp: tuple[int, ...]
+) -> tuple[int, tuple[tuple[int, int], ...]] | None:
+    """The vertex count of a root graph and the root edge of each vertex of
+    comp, in comp's order, or None when comp has no root.
 
-    Each vertex receives a distinct root edge, taken in an order in which
-    every vertex after the first is adjacent to an earlier one; adjacent
-    vertices must share an endpoint and non-adjacent ones must not.  New root
-    vertices are introduced in canonical order, so no candidate root is
-    missed up to isomorphism.
+    comp is one connected component, sorted, of the graph with neighbour
+    masks adj.  Each vertex receives a distinct root edge, taken in an order
+    in which every vertex after the first is adjacent to an earlier one;
+    adjacent vertices must share an endpoint and non-adjacent ones must not.
+    New root vertices are introduced in canonical order, so no candidate
+    root is missed up to isomorphism.
     """
     # Why this is polynomial: a connected root with at least 7 edges has at
     # least 5 vertices, and for such roots Whitney's theorem (Amer. J. Math.
@@ -131,9 +132,8 @@ def _root_by_assignment(
     # edge, and the search branches only while placing the first 7 (the
     # scheme of Degiorgi & Simon's ILIGRA, WG 1995).  It loops rather than
     # recurses, as a component can be deeper than the recursion limit.
-    k = comp.n
-    adj = comp.adj
-    start = max(range(k), key=lambda v: (comp.degree(v), -v))
+    k = len(comp)
+    start = max(comp, key=lambda v: (adj[v].bit_count(), -v))
     # Next is always the lowest-index unplaced vertex adjacent to the placed
     # set; nbrs[i] is the mask of the neighbours of order[i] placed before it.
     order, nbrs = [start], [0]
@@ -187,28 +187,28 @@ def _root_by_assignment(
         idx += 1
     if idx == 0:
         return None
-    root = SimpleGraph.from_edges(vmax + 1, edge_of.values())
-    return root, tuple(edge_of[v] for v in range(k))
+    return vmax + 1, tuple(edge_of[v] for v in comp)
 
 
 def is_line_graph_by_roots(g: SimpleGraph) -> Verdict:
     """Decide by building a root graph, componentwise, at any size.
 
     A disjoint union is a line graph iff each component is; the certified
-    root is then the disjoint union of component roots.  A negative verdict
+    root is then the disjoint union of component roots, and the only graph
+    built.  Each component is searched on g's own masks.  A negative verdict
     carries no evidence; `is_line_graph_by_beineke` names a forbidden
     pattern.
     """
     total = 0
     edge_map: list[tuple[int, int]] = [(-1, -1)] * g.n
-    for comp_vertices in connected_components(g):
-        found = _root_by_assignment(g.induced(comp_vertices))
+    for comp in connected_components(g):
+        found = _root_by_assignment(g.adj, comp)
         if found is None:
             return Verdict(False)
-        root, comp_map = found
-        for v, (a, b) in zip(comp_vertices, comp_map):
+        root_n, comp_map = found
+        for v, (a, b) in zip(comp, comp_map):
             edge_map[v] = (a + total, b + total)
-        total += root.n
+        total += root_n
     # Every edge of a component root is the image of a vertex.
     return Verdict(
         True, root=SimpleGraph.from_edges(total, edge_map), edge_map=tuple(edge_map)
@@ -333,17 +333,12 @@ def derive_forbidden_set() -> ForbiddenSet:
     vertices passes it (line graphs are closed under induced subgraphs, so
     single deletions suffice).  No pattern is missed: a minimal non-line
     graph is connected and has a non-cut vertex, whose deletion leaves a
-    connected line graph.  The count must come out at exactly nine.  The
+    connected line graph.  `ForbiddenSet` refuses any count but nine.  The
     patterns come in (vertex count, canonical key) order, claw first.
     """
     claw = canonical_key(CLAW)
     keys = [key for _, minimal in _grown_levels(6) for key in minimal]
     keys.sort(key=lambda key: key != claw)
-    if len(keys) != 9:
-        raise RuntimeError(
-            f"forbidden-set derivation is inconsistent: found {len(keys)}"
-            " minimal non-line graphs, expected 9"
-        )
     return ForbiddenSet(tuple(graph_from_key(key) for key in keys))
 
 

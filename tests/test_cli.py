@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from grouplines import cli
+from grouplines import catalog, cli
 from grouplines.catalog import catalog_specs
 from grouplines.cli import main
 from grouplines.graphs import SimpleGraph
@@ -141,6 +141,19 @@ def test_bad_specs_print_the_checked_in_messages(capsys):
     assert "".join(errs) == (DATA / "bad_specs_stderr.txt").read_text(encoding="utf-8")
 
 
+def test_bad_tables_print_the_checked_in_messages(capsys, monkeypatch):
+    # The golden names each table by its path from the repository root.
+    monkeypatch.chdir(DATA.parents[1])
+    errs = []
+    for table in sorted((DATA / "bad_tables").glob("*.tbl")):
+        path = table.relative_to(DATA.parents[1]).as_posix()
+        code, out, err = run(capsys, "check", f"file:{path}")
+        assert code == 2 and out == "", path
+        errs.append(err)
+    expected = (DATA / "bad_tables" / "expected_stderr.txt").read_text(encoding="utf-8")
+    assert "".join(errs) == expected
+
+
 @pytest.mark.parametrize(
     "text, token",
     [
@@ -203,6 +216,32 @@ def test_a_device_is_refused_unread(argv):
         preexec_fn=limit_memory,
     )
     message = b"error: table file '/dev/zero' is a device, not a file\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", message)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check", "file:/dev/stdin"], ["verify", "--max-order", "1", "--catalog", "/dev/stdin"]],
+    ids=["check", "verify"],
+)
+def test_a_table_past_the_byte_limit_is_refused_undecoded(argv):
+    # A pipe has no size to check first, so the read itself is bounded.  The
+    # child may map 512 MiB, so a read without a bound fails fast rather
+    # than filling the host's memory.
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    limit = catalog.MAX_TABLE_BYTES
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "grouplines.cli", *argv],
+        input=b"0" * (limit + 1),
+        capture_output=True,
+        env=env,
+        timeout=60,
+        preexec_fn=limit_memory,
+    )
+    message = f"error: table file '/dev/stdin' is longer than {limit} bytes\n".encode()
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", message)
 
 

@@ -614,6 +614,20 @@ def test_isomorphism_ignores_element_numbering():
     assert is_isomorphic_small_group(g, shuffled)
 
 
+def test_the_catalog_specs_cover_119_isomorphism_classes():
+    # The README's count: `Z2xZ9` and `Z18`, for one, name the same group.
+    # Specs are bucketed by invariants, then split by the exact test.
+    records = build_catalog()
+    reps: dict[tuple, list[FiniteGroup]] = {}
+    for record in records:
+        g = record.group
+        key = (g.order, tuple(g.order_histogram().items()), g.is_abelian())
+        bucket = reps.setdefault(key, [])
+        if not any(is_isomorphic_small_group(rep, g) for rep in bucket):
+            bucket.append(g)
+    assert (len(records), sum(map(len, reps.values()))) == (146, 119)
+
+
 # ---------------------------------------------------------------------------
 # associativity: Light's test against the brute-force oracle
 

@@ -88,6 +88,27 @@ def test_disconnected_inputs_are_decided_componentwise():
     assert not is_line_graph_by_roots(bad).is_line_graph  # P4 + claw
 
 
+def test_root_search_builds_only_the_certified_root(monkeypatch):
+    # The search runs on the input's own masks: a positive verdict builds one
+    # graph, the root it returns, and a negative verdict builds none.
+    # K3 + P3 + K1 and K3 + claw
+    good = SimpleGraph.from_edges(7, [(0, 1), (0, 2), (1, 2), (3, 4), (4, 5)])
+    bad = SimpleGraph.from_edges(7, [(0, 1), (1, 2), (0, 2), (3, 4), (3, 5), (3, 6)])
+    built = []
+    init = SimpleGraph.__init__
+
+    def counting(self, n, adj):
+        built.append(self)
+        init(self, n, adj)
+
+    monkeypatch.setattr(SimpleGraph, "__init__", counting)
+    verdict = is_line_graph_by_roots(good)
+    assert verdict.is_line_graph and len(built) == 1 and built[0] is verdict.root
+    built.clear()
+    assert not is_line_graph_by_roots(bad).is_line_graph
+    assert built == []
+
+
 def test_complete_graphs_are_line_graphs_of_stars():
     for n in range(1, 7):
         verdict = is_line_graph_by_roots(complete_graph(n))
