@@ -67,7 +67,8 @@ class SimpleGraph(_Frozen):
     n: int
     adj: tuple[int, ...]
 
-    def __init__(self, n: int, adj: tuple[int, ...]) -> None:
+    def __init__(self, n: int, adj: Sequence[int]) -> None:
+        adj = tuple(adj)
         if n < 0 or len(adj) != n:
             raise ValueError("adjacency length must equal vertex count")
         for v, mask in enumerate(adj):
@@ -92,7 +93,7 @@ class SimpleGraph(_Frozen):
                 raise ValueError(f"self-loop at vertex {u}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        return SimpleGraph(n, tuple(adj))
+        return SimpleGraph(n, adj)
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adj[u] >> v) & 1)
@@ -125,7 +126,7 @@ class SimpleGraph(_Frozen):
                 j = pos.get(u)
                 if j is not None:
                     adj[i] |= 1 << j
-        return SimpleGraph(len(vertices), tuple(adj))
+        return SimpleGraph(len(vertices), adj)
 
     def relabeled(self, perm: Sequence[int]) -> SimpleGraph:
         """Image under the vertex map old -> perm[old]."""
@@ -133,18 +134,18 @@ class SimpleGraph(_Frozen):
         for v in range(self.n):
             for u in _bits(self.adj[v]):
                 adj[perm[v]] |= 1 << perm[u]
-        return SimpleGraph(self.n, tuple(adj))
+        return SimpleGraph(self.n, adj)
 
 
 # ---------------------------------------------------------------------------
 # components
 
 
-def connected_components(g: SimpleGraph) -> list[tuple[int, ...]]:
-    """Vertex sets of the connected components, each sorted, ordered by minimum."""
+def _components(adj: Sequence[int]) -> list[tuple[int, ...]]:
+    """`connected_components` of the graph with neighbour masks adj."""
     seen = 0
     comps = []
-    for start in range(g.n):
+    for start in range(len(adj)):
         if (seen >> start) & 1:
             continue
         comp = 1 << start
@@ -152,12 +153,17 @@ def connected_components(g: SimpleGraph) -> list[tuple[int, ...]]:
         while frontier:
             nxt = 0
             for v in _bits(frontier):
-                nxt |= g.adj[v]
+                nxt |= adj[v]
             frontier = nxt & ~comp
             comp |= nxt
         seen |= comp
         comps.append(tuple(_bits(comp)))
     return comps
+
+
+def connected_components(g: SimpleGraph) -> list[tuple[int, ...]]:
+    """Vertex sets of the connected components, each sorted, ordered by minimum."""
+    return _components(g.adj)
 
 
 def is_connected(g: SimpleGraph) -> bool:
@@ -217,7 +223,7 @@ def graph_from_key(key: tuple[int, ...]) -> SimpleGraph:
             if (col >> (d - 1 - i)) & 1:
                 adj[d] |= 1 << i
                 adj[i] |= 1 << d
-    return SimpleGraph(n, tuple(adj))
+    return SimpleGraph(n, adj)
 
 
 # ---------------------------------------------------------------------------

@@ -178,13 +178,13 @@ class FiniteGroup:
     name: str
     order: int
     mul: Callable[[int, int], int]
-    labels: Sequence[str]
+    labels: tuple[str, ...]
 
     def __init__(
         self, name: str, table: Sequence[Sequence[int]], labels: Sequence[str]
     ) -> None:
-        # List rows are stored as tuples; tuple() returns a tuple row as is.
-        rows = tuple(map(tuple, table))
+        # Lists are stored as tuples; tuple() returns a tuple as is.
+        rows, labels = tuple(map(tuple, table)), tuple(labels)
         _validate_table(rows)
         if len(labels) != len(rows):
             raise GroupTableError(f"got {len(labels)} labels for {len(rows)} elements")
@@ -198,7 +198,7 @@ class FiniteGroup:
         """A group backed by `mul`, which the caller knows to be a group
         operation with identity 0; nothing is validated here."""
         group = cls.__new__(cls)
-        group.name, group.order, group.mul, group.labels = name, order, mul, labels
+        group.name, group.order, group.mul, group.labels = name, order, mul, tuple(labels)
         group._table = None
         return group
 
@@ -346,7 +346,7 @@ def make_dihedral(n: int) -> FiniteGroup:
         raise ValueError(f"dihedral parameter must be >= 1, got {n}")
     labels = ["e"] + [f"r{i}" if i > 1 else "r" for i in range(1, n)]
     labels += ["s"] + [f"r{i}s" if i > 1 else "rs" for i in range(1, n)]
-    return FiniteGroup._from_rule(f"D{n}", 2 * n, _twisted(n, 0), tuple(labels))
+    return FiniteGroup._from_rule(f"D{n}", 2 * n, _twisted(n, 0), labels)
 
 
 def make_dicyclic(n: int) -> FiniteGroup:
@@ -356,7 +356,7 @@ def make_dicyclic(n: int) -> FiniteGroup:
     m = 2 * n
     labels = ["e"] + [f"a{i}" if i > 1 else "a" for i in range(1, m)]
     labels += ["b"] + [f"a{i}b" if i > 1 else "ab" for i in range(1, m)]
-    return FiniteGroup._from_rule(f"Dic{n}", 2 * m, _twisted(m, n), tuple(labels))
+    return FiniteGroup._from_rule(f"Dic{n}", 2 * m, _twisted(m, n), labels)
 
 
 def _cycle_label(perm: tuple[int, ...]) -> str:

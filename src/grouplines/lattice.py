@@ -18,7 +18,7 @@ cover is taken at the least generator of <x> only, so each is found once.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .graphs import SimpleGraph, _Frozen
 from .groups import FiniteGroup, factorize
@@ -38,7 +38,8 @@ class LabeledGraph(_Frozen):
     graph: SimpleGraph
     labels: tuple[VertexLabel, ...]
 
-    def __init__(self, graph: SimpleGraph, labels: tuple[VertexLabel, ...]) -> None:
+    def __init__(self, graph: SimpleGraph, labels: Sequence[VertexLabel]) -> None:
+        labels = tuple(labels)
         if len(labels) != graph.n:
             raise ValueError("label count must equal vertex count")
         if len({lab.members for lab in labels}) != graph.n:
@@ -71,7 +72,7 @@ def build_gamma(group: FiniteGroup) -> LabeledGraph:
         else:
             name = f"<{group.labels[s.generator]}> (order {s.order})"
         labels.append(VertexLabel(s.order, s.members, name))
-    return LabeledGraph(SimpleGraph.from_edges(len(subs), edges), tuple(labels))
+    return LabeledGraph(SimpleGraph.from_edges(len(subs), edges), labels)
 
 
 def decide_gamma(lg: LabeledGraph) -> Verdict:

@@ -1,26 +1,26 @@
-"""Line graphs and two independent recognizers.
+"""Line graphs and two recognizers.
 
 A graph is decided to be a line graph either by building a root graph whose
 line graph it is (an edge-assignment search, polynomial by Whitney's theorem,
 whose root and edge map certify every positive answer at any size) or by
 showing that none of the nine minimal forbidden patterns occurs as an induced
 subgraph.  The nine patterns themselves are derived from scratch rather than
-hardcoded, independently of both recognizers, with Krausz's clique-cover
-test, which needs no root graphs.  The derivation grows connected line
-graphs one vertex at a time: a minimal non-line graph g is connected, so it
-has a non-cut vertex v, and g - v is a connected line graph by minimality.
-Deleting a non-cut vertex of a connected line graph leaves a connected line
-graph too, so every pattern, and every connected line graph of the next
-level, is a one-vertex extension of a connected line graph.  Only the count
-of patterns is asserted.
+hardcoded, with the root search as the derivation's line-graph test
+(`_is_line_graph`).  The derivation grows connected line graphs one vertex
+at a time: a minimal non-line graph g is connected, so it has a non-cut
+vertex v, and g - v is a connected line graph by minimality.  Deleting a
+non-cut vertex of a connected line graph leaves a connected line graph too,
+so every pattern, and every connected line graph of the next level, is a
+one-vertex extension of a connected line graph.  Only the count of patterns
+is asserted here; the tests match them against an exhaustive scan with
+Krausz's clique-cover test, which builds no root graph.
 
-Most extensions are settled without Krausz's test.  A line graph is
+Most extensions are settled without a root search.  A line graph is
 claw-free, so an induced claw in an extension of one runs through the new
 vertex (`_claw_at`).  On five or more vertices such an extension strictly
 contains a claw: it is not a line graph, and deleting a vertex outside the
 claw leaves a non-line graph, so it is not minimal either.  Skipping it
-leaves every level's line graphs and minimal graphs as they are, and
-Krausz's test stays the only line-graph test.
+leaves every level's line graphs and minimal graphs as they are.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from .graphs import (
     SearchPlan,
     SimpleGraph,
     _bits,
+    _components,
     _Frozen,
     canonical_key,
-    connected_components,
     find_first_induced,
     graph_from_key,
     is_connected,
@@ -74,7 +74,8 @@ class ForbiddenSet(_Frozen):
     patterns: tuple[SimpleGraph, ...]
     plans: tuple[SearchPlan, ...]
 
-    def __init__(self, patterns: tuple[SimpleGraph, ...]) -> None:
+    def __init__(self, patterns: Sequence[SimpleGraph]) -> None:
+        patterns = tuple(patterns)
         if len(patterns) != 9:
             raise ValueError(f"expected 9 forbidden patterns, got {len(patterns)}")
         keys = {canonical_key(p) for p in patterns}
@@ -104,7 +105,7 @@ def line_graph(h: SimpleGraph) -> SimpleGraph:
             if a == c or a == d or b == c or b == d:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-    return SimpleGraph(k, tuple(adj))
+    return SimpleGraph(k, adj)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +202,7 @@ def is_line_graph_by_roots(g: SimpleGraph) -> Verdict:
     """
     total = 0
     edge_map: list[tuple[int, int]] = [(-1, -1)] * g.n
-    for comp in connected_components(g):
+    for comp in _components(g.adj):
         found = _root_by_assignment(g.adj, comp)
         if found is None:
             return Verdict(False)
@@ -215,51 +216,14 @@ def is_line_graph_by_roots(g: SimpleGraph) -> Verdict:
     )
 
 
+def _is_line_graph(adj: Sequence[int]) -> bool:
+    """Whether every component of the graph with neighbour masks adj has a
+    root: the derivation's line-graph test, with no root graph built."""
+    return all(_root_by_assignment(adj, comp) is not None for comp in _components(adj))
+
+
 # ---------------------------------------------------------------------------
 # the forbidden set
-
-
-def _has_krausz_cover(adj: Sequence[int]) -> bool:
-    """Krausz's test (Mat. Fiz. Lapok 50, 1943), the derivation's oracle: the
-    graph with neighbour masks adj is a line graph iff its edges split into
-    cliques with every vertex in at most two of them.  Exponential, and meant
-    for small graphs.  Isolated vertices do not matter, so a vertex deletion
-    can be tested by zeroing the vertex's bits.
-
-    Backtracks over bitmasks: the lowest uncovered edge uv goes into one of
-    the cliques through uv whose edges are all uncovered and whose vertices
-    each sit in fewer than two cliques so far; each is tried in turn.
-    """
-
-    def cliques(rest: Sequence[int], clique: int, candidates: int) -> Iterator[int]:
-        # Each clique of uncovered edges made of clique and some candidates.
-        yield clique
-        while candidates:
-            low = candidates & -candidates
-            candidates ^= low
-            w = low.bit_length() - 1
-            yield from cliques(rest, clique | low, candidates & rest[w])
-
-    def cover(rest: Sequence[int], once: int, twice: int) -> bool:
-        # rest holds the uncovered edges as neighbour masks; once and twice
-        # are the vertices in at least one and in two chosen cliques.
-        for u, mask in enumerate(rest):
-            if mask:
-                break
-        else:
-            return True
-        v = (mask & -mask).bit_length() - 1
-        if (twice >> u | twice >> v) & 1:
-            return False
-        for c in cliques(rest, 1 << u | 1 << v, rest[u] & rest[v] & ~twice):
-            # A list, not a tuple: each tuple(...) call would park one more
-            # tuple on CPython's free list, which keeps up to 2000 per size.
-            left = [mask & ~c if c >> x & 1 else mask for x, mask in enumerate(rest)]
-            if cover(left, once | c, twice | once & c):
-                return True
-        return False
-
-    return cover(adj, 0, 0)
 
 
 def _claw_at(adj: Sequence[int], v: int) -> bool:
@@ -290,10 +254,11 @@ def _grown_levels(
 
     Level n extends each connected line graph on n - 1 vertices by a new
     vertex with a non-zero neighbour mask and decides each extension with
-    Krausz's test, except that from n = 5 on an extension with a claw at
+    `_is_line_graph`, except that from n = 5 on an extension with a claw at
     the new vertex is skipped: it is neither a line graph nor minimal.  A
     non-line extension is minimal when deleting any old vertex leaves a line
-    graph; deleting the new vertex leaves the base.
+    graph; deleting the new vertex leaves the base.  A deletion zeroes the
+    vertex's bits, which leaves it isolated: L(K2), a component with a root.
     The line graphs on `top` vertices are not canonicalised, as no level
     grows from them, so that level yields none.
     """
@@ -309,16 +274,14 @@ def _grown_levels(
                 adj.append(mask)
                 if n >= 5 and _claw_at(adj, n - 1):
                     continue
-                if _has_krausz_cover(adj):
+                if _is_line_graph(adj):
                     if n < top:
-                        lines.add(canonical_key(SimpleGraph(n, tuple(adj))))
+                        lines.add(canonical_key(SimpleGraph(n, adj)))
                 elif all(
-                    _has_krausz_cover(
-                        [0 if u == v else m & ~(1 << v) for u, m in enumerate(adj)]
-                    )
+                    _is_line_graph([0 if u == v else m & ~(1 << v) for u, m in enumerate(adj)])
                     for v in range(n - 1)
                 ):
-                    minimal.add(canonical_key(SimpleGraph(n, tuple(adj))))
+                    minimal.add(canonical_key(SimpleGraph(n, adj)))
         level = tuple(sorted(lines))
         yield level, tuple(sorted(minimal))
 
@@ -329,17 +292,19 @@ def derive_forbidden_set() -> ForbiddenSet:
 
     Grows the connected line graphs on 1..5 vertices one vertex at a time
     (`_grown_levels`) and keeps each one-vertex extension, on up to 6
-    vertices, that fails Krausz's test while every deletion of one of its
-    vertices passes it (line graphs are closed under induced subgraphs, so
+    vertices, that has no root graph while every deletion of one of its
+    vertices has one (line graphs are closed under induced subgraphs, so
     single deletions suffice).  No pattern is missed: a minimal non-line
     graph is connected and has a non-cut vertex, whose deletion leaves a
     connected line graph.  `ForbiddenSet` refuses any count but nine.  The
-    patterns come in (vertex count, canonical key) order, claw first.
+    patterns come in (vertex count, canonical key) order, claw first.  The
+    tests check them against an exhaustive scan with Krausz's test and
+    against the checked-in files of `tests/data/forbidden`.
     """
     claw = canonical_key(CLAW)
     keys = [key for _, minimal in _grown_levels(6) for key in minimal]
     keys.sort(key=lambda key: key != claw)
-    return ForbiddenSet(tuple(graph_from_key(key) for key in keys))
+    return ForbiddenSet([graph_from_key(key) for key in keys])
 
 
 def is_line_graph_by_beineke(g: SimpleGraph, forbidden: ForbiddenSet) -> Verdict:

@@ -197,13 +197,14 @@ def _case_check(
         # claw t; 1, t², tu.
         (t, _), (u, _) = factors if factors[0][1] >= 2 else factors[::-1]
         case, center, leaves = "cyclic-two-primes", first[t], [0, first[t * t], first[t * u]]
-    elif (abelian := record.group.is_abelian()) or order_class is OrderClass.TWO_PRIMES_PQ:
-        case = "noncyclic-abelian" if abelian else "nonabelian-pq"
+    elif order_class is OrderClass.TWO_PRIMES_PQ or record.group.is_abelian():
+        # A non-cyclic group of order pq is not abelian.  Some prime p has
+        # three subgroups of order p: p + 1 or more in a non-cyclic abelian
+        # group (a Sylow p-subgroup is not cyclic), q >= 3 in one of order pq.
+        case = "nonabelian-pq" if order_class is OrderClass.TWO_PRIMES_PQ else "noncyclic-abelian"
         starts = [*first.values(), len(lg.labels)]
         size = {order: end - start for order, start, end in zip(first, starts, starts[1:])}
-        t = next((p for p in primes if size[p] >= 3), None)
-        if t is None:
-            raise RuntimeError("no prime with three subgroups of that order was found")
+        t = next(p for p in primes if size[p] >= 3)
         center, leaves = 0, range(first[t], first[t] + 3)
     else:
         # Remaining negatives (non-abelian prime-power or two-prime

@@ -14,14 +14,17 @@ benchmark run.  What only the tests call lives here:
 - `gamma_stats`, summary statistics of a cyclic subgroup graph;
 - `subgroup_lattice_graph`, the covering graph L(G) of all subgroups;
 - `parse_graph_text`, the reader of the graph text format that
-  `grouplines forbidden` writes; no command reads it.
+  `grouplines forbidden` writes; no command reads it;
+- `_has_krausz_cover`, Krausz's exponential clique-cover test, which builds
+  no root graph: the independent check on the package's line-graph test
+  and on the nine patterns the package derives with it.
 """
 
 from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from grouplines.graphs import (
     SimpleGraph,
@@ -350,3 +353,50 @@ def parse_graph_text(text: str) -> SimpleGraph:
             raise ValueError(f"edge line {ln!r} is a self-loop")
         edges.append((u, v))
     return SimpleGraph.from_edges(n, edges)
+
+
+# ---------------------------------------------------------------------------
+# Krausz's line-graph test
+
+
+def _has_krausz_cover(adj: Sequence[int]) -> bool:
+    """Krausz's test (Mat. Fiz. Lapok 50, 1943), the derivation's oracle: the
+    graph with neighbour masks adj is a line graph iff its edges split into
+    cliques with every vertex in at most two of them.  Exponential, and meant
+    for small graphs.  Isolated vertices do not matter, so a vertex deletion
+    can be tested by zeroing the vertex's bits.
+
+    Backtracks over bitmasks: the lowest uncovered edge uv goes into one of
+    the cliques through uv whose edges are all uncovered and whose vertices
+    each sit in fewer than two cliques so far; each is tried in turn.
+    """
+
+    def cliques(rest: Sequence[int], clique: int, candidates: int) -> Iterator[int]:
+        # Each clique of uncovered edges made of clique and some candidates.
+        yield clique
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            w = low.bit_length() - 1
+            yield from cliques(rest, clique | low, candidates & rest[w])
+
+    def cover(rest: Sequence[int], once: int, twice: int) -> bool:
+        # rest holds the uncovered edges as neighbour masks; once and twice
+        # are the vertices in at least one and in two chosen cliques.
+        for u, mask in enumerate(rest):
+            if mask:
+                break
+        else:
+            return True
+        v = (mask & -mask).bit_length() - 1
+        if (twice >> u | twice >> v) & 1:
+            return False
+        for c in cliques(rest, 1 << u | 1 << v, rest[u] & rest[v] & ~twice):
+            # A list, not a tuple: each tuple(...) call would park one more
+            # tuple on CPython's free list, which keeps up to 2000 per size.
+            left = [mask & ~c if c >> x & 1 else mask for x, mask in enumerate(rest)]
+            if cover(left, once | c, twice | once & c):
+                return True
+        return False
+
+    return cover(adj, 0, 0)

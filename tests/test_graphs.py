@@ -14,6 +14,7 @@ from grouplines.graphs import (
     format_graph_text,
     is_connected,
 )
+from grouplines.groups import FiniteGroup
 from grouplines.lattice import LabeledGraph, VertexLabel, build_gamma
 from grouplines.linegraph import ForbiddenSet, Verdict, derive_forbidden_set
 from contracts import check_message, check_value_contract
@@ -128,6 +129,26 @@ def test_forbidden_set_compares_and_pickles_without_its_plans():
     assert text.startswith("ForbiddenSet(patterns=(SimpleGraph(n=4, adj=(8, 8, 8, 7)), ")
     check_value_contract(lambda: ForbiddenSet(f.patterns), "plans", text)
     assert pickle.loads(pickle.dumps(f)).plans == f.plans
+
+
+def test_values_built_from_lists_keep_their_own_tuples():
+    patterns = list(derive_forbidden_set().patterns)
+    labels = [VertexLabel(1, (0,), "{e}"), VertexLabel(2, (0, 1), "<1>")]
+    cases = [
+        (lambda adj: SimpleGraph(3, adj), [2, 5, 2]),
+        (lambda labels: LabeledGraph(SimpleGraph(2, (2, 1)), labels), labels),
+        (ForbiddenSet, patterns),
+    ]
+    for build, items in cases:
+        value, twin = build(items), build(tuple(items))
+        assert value == twin and hash(value) == hash(twin)
+        items.pop()
+        assert value == twin and hash(value) == hash(twin)
+    rows, names = [[0, 1], [1, 0]], ["a", "b"]
+    group = FiniteGroup("x", rows, names)
+    names.append("c")
+    rows[1][0] = 0
+    assert group.labels == ("a", "b") and group.table == ((0, 1), (1, 0))
 
 
 def test_unequal_graph_values_differ():

@@ -17,7 +17,7 @@ from grouplines.linegraph import (
     ForbiddenSet,
     _claw_at,
     _grown_levels,
-    _has_krausz_cover,
+    _is_line_graph,
     derive_forbidden_set,
     is_line_graph_by_beineke,
     is_line_graph_by_roots,
@@ -27,6 +27,7 @@ from grouplines.linegraph import (
 import oracles
 from certificates import edge_map_certifies
 from oracles import (
+    _has_krausz_cover,
     complete_graph,
     enumerate_connected_graphs,
     enumerate_graphs,
@@ -319,19 +320,36 @@ def test_cold_derivation_canonicalises_only_what_it_needs():
     assert graphs_mod.canonical_key.cache_info().misses <= 103
 
 
-def test_cold_derivation_runs_krausz_only_on_claw_free_extensions(monkeypatch):
-    # Testing every extension, claw or not, takes 975 Krausz tests.
-    real = linegraph_mod._has_krausz_cover
+def test_cold_derivation_runs_the_line_graph_test_only_on_claw_free_extensions(
+    monkeypatch,
+):
+    # Testing every extension, claw or not, takes 975 line-graph tests.
+    real = linegraph_mod._is_line_graph
     calls = []
 
     def counted(adj):
         calls.append(1)
         return real(adj)
 
-    monkeypatch.setattr(linegraph_mod, "_has_krausz_cover", counted)
+    monkeypatch.setattr(linegraph_mod, "_is_line_graph", counted)
     linegraph_mod.derive_forbidden_set.cache_clear()
     derive_forbidden_set()
     assert len(calls) <= 600
+
+
+def test_line_graph_test_matches_krausz_on_small_graphs_and_their_deletions():
+    # The derivation tests extensions and their one-vertex deletions, the
+    # latter as a zeroed vertex; Krausz's test builds no root graph.
+    graphs = deletions = 0
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            assert _is_line_graph(g.adj) == _has_krausz_cover(g.adj), g
+            graphs += 1
+            for v in range(n):
+                adj = [0 if u == v else m & ~(1 << v) for u, m in enumerate(g.adj)]
+                assert _is_line_graph(adj) == _has_krausz_cover(adj), (g, v)
+                deletions += 1
+    assert (graphs, deletions) == (208, 1167)
 
 
 def test_claw_at_the_new_vertex_matches_the_claw_search():

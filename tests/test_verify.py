@@ -308,6 +308,48 @@ def test_verify_and_check_factorize_each_order_at_most_twice(monkeypatch, capsys
     assert calls == 1
 
 
+def test_verify_tests_abelian_only_where_the_order_leaves_it_open(monkeypatch, capsys):
+    from grouplines import fanout
+    from grouplines.cli import main
+    from grouplines.groups import FiniteGroup
+
+    # The counter sees only this process, so the groups are not forked out.
+    monkeypatch.setattr(fanout, "_cpu_count", lambda: 1)
+    tested = []
+    real = FiniteGroup.is_abelian
+
+    def counted(group):
+        tested.append(group.name)
+        return real(group)
+
+    monkeypatch.setattr(FiniteGroup, "is_abelian", counted)
+    assert main(["verify", "--max-order", "60"]) == 0
+    capsys.readouterr()
+    # A non-cyclic group of order pq is never abelian: S3 and the dihedral
+    # groups D5 to D23 are not asked.
+    assert len(tested) == 51
+    assert not {"S3", "D5", "D7", "D11", "D13", "D17", "D19", "D23"} & set(tested)
+
+
+def test_verify_reports_a_wrong_verdict_and_exits_1(monkeypatch, capsys):
+    from grouplines import fanout, verify
+    from grouplines.cli import main
+    from grouplines.linegraph import Verdict
+
+    # The patched verdict holds only in this process.
+    monkeypatch.setattr(fanout, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(verify, "decide_gamma", lambda lg: Verdict(True))
+    assert main(["verify", "--max-order", "8"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "THEOREM FAILS over 14 groups" in lines
+    # The claw cases fail on their own claws; the other negatives have no
+    # claw to show, so their rows carry none.
+    assert "other-negative\tD4\tnot-line-graph\t-\tfalse" in lines
+    assert "other-negative\tDic2\tnot-line-graph\t-\tfalse" in lines
+    assert "CASES FAIL over 13 checks" in lines
+    assert lines[-1] == "COMPLETENESS HOLDS over 14 groups"
+
+
 def test_verify_catalog_matches_the_three_reports(catalog15):
     from grouplines.verify import verify_catalog
 
