@@ -352,6 +352,30 @@ def search_plan(pattern: SimpleGraph) -> SearchPlan:
     return SearchPlan(order, degree, steps, tuple(orbit_sizes))
 
 
+def _first_induced(
+    adj: Sequence[int], plans: Sequence[SearchPlan]
+) -> tuple[int, tuple[int, ...]] | None:
+    """`find_first_induced` in the graph with neighbour masks adj."""
+    # Lists, not tuples: held in tuples, the masks or the degrees made the
+    # resident memory of a 30 s recognize-lines run creep up by 0.3-2 MiB.
+    degrees = [mask.bit_count() for mask in adj]
+    at_least = [0] * (max(degrees, default=0) + 2)
+    for v, d in enumerate(degrees):
+        at_least[d] |= 1 << v
+    for d in range(len(at_least) - 2, -1, -1):
+        at_least[d] |= at_least[d + 1]
+    top = len(at_least) - 1
+    non = _non_neighbours(adj)
+    for index, plan in enumerate(plans):
+        if len(plan.order) > len(adj):
+            continue
+        allowed = [at_least[min(want, top)] for want in plan.degree]
+        image = _search(adj, non, plan.steps, allowed)
+        if image is not None:
+            return index, tuple(v for _, v in sorted(zip(plan.order, image)))
+    return None
+
+
 def find_first_induced(
     host: SimpleGraph, plans: Sequence[SearchPlan]
 ) -> tuple[int, tuple[int, ...]] | None:
@@ -363,24 +387,7 @@ def find_first_induced(
     with more vertices than the host are skipped.  The embedding maps
     pattern vertex p to host vertex `embedding[p]`.
     """
-    # Lists, not tuples: held in tuples, the masks or the degrees made the
-    # resident memory of a 30 s recognize-lines run creep up by 0.3-2 MiB.
-    degrees = [mask.bit_count() for mask in host.adj]
-    at_least = [0] * (max(degrees, default=0) + 2)
-    for v, d in enumerate(degrees):
-        at_least[d] |= 1 << v
-    for d in range(len(at_least) - 2, -1, -1):
-        at_least[d] |= at_least[d + 1]
-    top = len(at_least) - 1
-    non = _non_neighbours(host.adj)
-    for index, plan in enumerate(plans):
-        if len(plan.order) > host.n:
-            continue
-        allowed = [at_least[min(want, top)] for want in plan.degree]
-        image = _search(host.adj, non, plan.steps, allowed)
-        if image is not None:
-            return index, tuple(v for _, v in sorted(zip(plan.order, image)))
-    return None
+    return _first_induced(host.adj, plans)
 
 
 def check_induced_embedding(

@@ -170,7 +170,8 @@ class FiniteGroup:
     `FiniteGroup(name, table, labels)` validates an n x n Cayley table and
     is backed by it.  A constructor that knows its operation is a group
     backs one by a rule instead (`_from_rule`).  Either way the group is
-    read through `order`, `mul(x, g)` and `labels`.
+    read through `order`, `mul(x, g)` and `labels`, which cannot be
+    assigned or deleted.  Equality is identity, as `mul` is a closure.
     """
 
     __slots__ = ("name", "order", "mul", "labels", "_table")
@@ -188,8 +189,7 @@ class FiniteGroup:
         _validate_table(rows)
         if len(labels) != len(rows):
             raise GroupTableError(f"got {len(labels)} labels for {len(rows)} elements")
-        self.name, self.order, self.labels, self._table = name, len(rows), labels, rows
-        self.mul = lambda x, g: rows[x][g]
+        self._fill(name, len(rows), lambda x, g: rows[x][g], labels, rows)
 
     @classmethod
     def _from_rule(
@@ -198,9 +198,18 @@ class FiniteGroup:
         """A group backed by `mul`, which the caller knows to be a group
         operation with identity 0; nothing is validated here."""
         group = cls.__new__(cls)
-        group.name, group.order, group.mul, group.labels = name, order, mul, tuple(labels)
-        group._table = None
+        group._fill(name, order, mul, tuple(labels), None)
         return group
+
+    def _fill(self, *values: object) -> None:
+        for field, value in zip(self.__slots__, values):
+            object.__setattr__(self, field, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __repr__(self) -> str:
         return f"<FiniteGroup {self.name} of order {self.order}>"
@@ -212,7 +221,7 @@ class FiniteGroup:
             n, mul = self.order, self.mul
             table = tuple(tuple(map(mul, itertools.repeat(x, n), range(n))) for x in range(n))
             _validate_table(table)
-            self._table = table
+            object.__setattr__(self, "_table", table)
         return self._table
 
     def _powers(self, g: int) -> list[int]:

@@ -15,12 +15,11 @@ one-vertex extension of a connected line graph.  Only the count of patterns
 is asserted here; the tests match them against an exhaustive scan with
 Krausz's clique-cover test, which builds no root graph.
 
-Most extensions are settled without a root search.  A line graph is
-claw-free, so an induced claw in an extension of one runs through the new
-vertex (`_claw_at`).  On five or more vertices such an extension strictly
-contains a claw: it is not a line graph, and deleting a vertex outside the
-claw leaves a non-line graph, so it is not minimal either.  Skipping it
-leaves every level's line graphs and minimal graphs as they are.
+An extension that holds a pattern found on fewer vertices is skipped: it
+is neither a line graph nor minimal.  Any other is a line graph or, failing
+the root search, minimal: a non-line proper induced subgraph of it would
+hold a minimal non-line graph on fewer vertices, which is connected with a
+non-cut vertex, so an earlier level found it.  No deletion is tested.
 """
 
 from __future__ import annotations
@@ -31,8 +30,8 @@ from typing import Iterator, NamedTuple, Sequence
 from .graphs import (
     SearchPlan,
     SimpleGraph,
-    _bits,
     _components,
+    _first_induced,
     _Frozen,
     canonical_key,
     find_first_induced,
@@ -226,26 +225,6 @@ def _is_line_graph(adj: Sequence[int]) -> bool:
 # the forbidden set
 
 
-def _claw_at(adj: Sequence[int], v: int) -> bool:
-    """Whether vertex v of the graph with neighbour masks adj lies in an
-    induced claw: as its centre, with three pairwise non-adjacent
-    neighbours, or as a leaf, joined to a centre with two more neighbours
-    adjacent neither to each other nor to v."""
-    near = adj[v]
-    for a in _bits(near):
-        # Neighbours of v after a and not adjacent to it, then the same for b.
-        after_a = near & ~adj[a] & -(2 << a)
-        for b in _bits(after_a):
-            if after_a & ~adj[b] & -(2 << b):
-                return True
-    for centre in _bits(near):
-        far = adj[centre] & ~near & ~(1 << v)
-        for a in _bits(far):
-            if far & ~adj[a] & ~(1 << a):
-                return True
-    return False
-
-
 def _grown_levels(
     top: int,
 ) -> Iterator[tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]]:
@@ -253,16 +232,14 @@ def _grown_levels(
     on n vertices and of the minimal non-line graphs on n vertices.
 
     Level n extends each connected line graph on n - 1 vertices by a new
-    vertex with a non-zero neighbour mask and decides each extension with
-    `_is_line_graph`, except that from n = 5 on an extension with a claw at
-    the new vertex is skipped: it is neither a line graph nor minimal.  A
-    non-line extension is minimal when deleting any old vertex leaves a line
-    graph; deleting the new vertex leaves the base.  A deletion zeroes the
-    vertex's bits, which leaves it isolated: L(K2), a component with a root.
-    The line graphs on `top` vertices are not canonicalised, as no level
-    grows from them, so that level yields none.
+    vertex with a non-zero neighbour mask.  An extension that holds a
+    minimal non-line graph of an earlier level is skipped; any other is a
+    line graph or, failing `_is_line_graph`, minimal.  The line graphs on
+    `top` vertices are not canonicalised, as no level grows from them, so
+    that level yields none.
     """
     level: tuple[tuple[int, ...], ...] = ((1,),)
+    plans: list[SearchPlan] = []
     yield level, ()
     for n in range(2, top + 1):
         lines, minimal = set(), set()
@@ -272,18 +249,17 @@ def _grown_levels(
             for mask in range(1, new):
                 adj = [m | new if mask >> v & 1 else m for v, m in enumerate(base)]
                 adj.append(mask)
-                if n >= 5 and _claw_at(adj, n - 1):
+                if _first_induced(adj, plans) is not None:
                     continue
                 if _is_line_graph(adj):
                     if n < top:
                         lines.add(canonical_key(SimpleGraph(n, adj)))
-                elif all(
-                    _is_line_graph([0 if u == v else m & ~(1 << v) for u, m in enumerate(adj)])
-                    for v in range(n - 1)
-                ):
+                else:
                     minimal.add(canonical_key(SimpleGraph(n, adj)))
         level = tuple(sorted(lines))
-        yield level, tuple(sorted(minimal))
+        found = tuple(sorted(minimal))
+        plans.extend(search_plan(graph_from_key(key)) for key in found)
+        yield level, found
 
 
 @lru_cache(maxsize=None)
@@ -291,19 +267,15 @@ def derive_forbidden_set() -> ForbiddenSet:
     """Derive the nine minimal forbidden patterns from scratch.
 
     Grows the connected line graphs on 1..5 vertices one vertex at a time
-    (`_grown_levels`) and keeps each one-vertex extension, on up to 6
-    vertices, that has no root graph while every deletion of one of its
-    vertices has one (line graphs are closed under induced subgraphs, so
-    single deletions suffice).  No pattern is missed: a minimal non-line
-    graph is connected and has a non-cut vertex, whose deletion leaves a
-    connected line graph.  `ForbiddenSet` refuses any count but nine.  The
-    patterns come in (vertex count, canonical key) order, claw first.  The
-    tests check them against an exhaustive scan with Krausz's test and
-    against the checked-in files of `tests/data/forbidden`.
+    and keeps each one-vertex extension, on up to 6 vertices, that has no
+    root graph and holds no pattern found on fewer vertices
+    (`_grown_levels`).  `ForbiddenSet` refuses any count but nine.  The
+    patterns come in (vertex count, canonical key) order, so the claw, the
+    only one on four vertices, comes first.  The tests check them against
+    an exhaustive scan with Krausz's test and against the checked-in files
+    of `tests/data/forbidden`.
     """
-    claw = canonical_key(CLAW)
     keys = [key for _, minimal in _grown_levels(6) for key in minimal]
-    keys.sort(key=lambda key: key != claw)
     return ForbiddenSet([graph_from_key(key) for key in keys])
 
 

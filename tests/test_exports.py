@@ -94,3 +94,34 @@ def test_star_import_and_dir_list_every_export():
 def test_an_unknown_name_is_an_attribute_error_naming_it():
     with pytest.raises(AttributeError, match="no_such_name"):
         grouplines.no_such_name
+
+
+def unused_imports(source):
+    """The names that an import in source binds and nothing reads.
+
+    A name is read when a `Name` node loads it, as the root of every
+    `Attribute` chain is.  `from __future__ import annotations` binds
+    nothing that code reads, so it is exempt.
+    """
+    tree = ast.parse(source)
+    bound = [
+        alias.asname or alias.name.partition(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+        for alias in node.names
+    ]
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [name for name in bound if name not in read]
+
+
+def test_no_module_of_the_package_imports_a_name_it_never_reads():
+    source = "from __future__ import annotations\nimport os.path, re\nfrom a import b as c\nc(re)"
+    assert unused_imports(source) == ["os"]
+    package = Path(grouplines.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        assert unused_imports(path.read_text(encoding="utf-8")) == [], path.name

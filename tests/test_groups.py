@@ -469,16 +469,15 @@ def test_cyclic_subgroups_walk_each_subgroup_once():
     # Z2048 has 2048 elements but only 12 cyclic subgroups, one for each
     # divisor, so one power walk per subgroup takes at most the sum of the
     # subgroup orders, 4095 products, where its table has 2048^2 cells.
-    group = parse_group_spec("Z2048")
-    rule = group.mul
+    base = parse_group_spec("Z2048")
     products = 0
 
     def counted(x, g):
         nonlocal products
         products += 1
-        return rule(x, g)
+        return base.mul(x, g)
 
-    group.mul = counted
+    group = FiniteGroup._from_rule(base.name, base.order, counted, base.labels)
     subs = group.cyclic_subgroups()
     assert len(subs) == 12
     assert products <= sum(s.order for s in subs) == 4095
@@ -520,6 +519,23 @@ def test_cyclic_subgroups_are_closed():
 )
 def test_group_values_keep_their_contract(make, field, text):
     check_value_contract(make, field, text)
+
+
+def test_groups_cannot_be_changed_after_construction():
+    table_backed = FiniteGroup("x", [[0, 1], [1, 0]], ("0", "1"))
+    for group, text in ((make_cyclic(3), "Z3 of order 3"), (table_backed, "x of order 2")):
+        for field in ("name", "order", "mul", "labels", "_table", "table", "extra"):
+            with pytest.raises(AttributeError, match=repr(field)):
+                setattr(group, field, None)
+            with pytest.raises(AttributeError, match=repr(field)):
+                delattr(group, field)
+        assert repr(group) == f"<FiniteGroup {text}>"
+        assert group.mul(1, 1) == (2 if group.order == 3 else 0)
+    # The lazy table is still built on first use, and then kept.
+    group = make_cyclic(3)
+    assert group.table is group.table == ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    # Groups compare by identity: a rule's `mul` is a closure.
+    assert make_cyclic(3) != make_cyclic(3)
 
 
 def test_subgroup_order_is_stored_and_unequal_values_differ():

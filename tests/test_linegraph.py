@@ -9,13 +9,10 @@ from grouplines.graphs import (
     SimpleGraph,
     canonical_key,
     check_induced_embedding,
-    graph_from_key,
     is_connected,
 )
 from grouplines.linegraph import (
-    CLAW,
     ForbiddenSet,
-    _claw_at,
     _grown_levels,
     _is_line_graph,
     derive_forbidden_set,
@@ -320,10 +317,13 @@ def test_cold_derivation_canonicalises_only_what_it_needs():
     assert graphs_mod.canonical_key.cache_info().misses <= 103
 
 
-def test_cold_derivation_runs_the_line_graph_test_only_on_claw_free_extensions(
+def test_cold_derivation_runs_the_line_graph_test_only_on_pattern_free_extensions(
     monkeypatch,
 ):
-    # Testing every extension, claw or not, takes 975 line-graph tests.
+    # Testing every extension and each deletion of every non-line one takes
+    # 975 line-graph tests, and 584 if extensions with a claw at the new
+    # vertex are skipped; skipping those that hold any smaller pattern
+    # leaves 254, and no deletion is tested.
     real = linegraph_mod._is_line_graph
     calls = []
 
@@ -334,12 +334,13 @@ def test_cold_derivation_runs_the_line_graph_test_only_on_claw_free_extensions(
     monkeypatch.setattr(linegraph_mod, "_is_line_graph", counted)
     linegraph_mod.derive_forbidden_set.cache_clear()
     derive_forbidden_set()
-    assert len(calls) <= 600
+    assert len(calls) <= 260
 
 
 def test_line_graph_test_matches_krausz_on_small_graphs_and_their_deletions():
-    # The derivation tests extensions and their one-vertex deletions, the
-    # latter as a zeroed vertex; Krausz's test builds no root graph.
+    # The derivation's line-graph test agrees with Krausz's, which builds no
+    # root graph, on every graph of at most 6 vertices and on each of its
+    # one-vertex deletions, taken as a zeroed vertex.
     graphs = deletions = 0
     for n in range(1, 7):
         for g in enumerate_graphs(n):
@@ -352,20 +353,27 @@ def test_line_graph_test_matches_krausz_on_small_graphs_and_their_deletions():
     assert (graphs, deletions) == (208, 1167)
 
 
-def test_claw_at_the_new_vertex_matches_the_claw_search():
-    # Each base is a line graph, so claw-free: any claw in an extension
-    # runs through the new vertex.
-    levels = [keys for keys, _ in _grown_levels(6)]
-    checked = 0
-    for n in (4, 5):
-        for key in levels[n - 1]:
-            base = graph_from_key(key).adj
-            for mask in range(1, 1 << n):
-                adj = [m | 1 << n if mask >> v & 1 else m for v, m in enumerate(base)]
-                g = SimpleGraph(n + 1, (*adj, mask))
-                assert _claw_at(g.adj, n) == (find_induced(g, CLAW) is not None), (key, mask)
-                checked += 1
-    assert checked == 5 * 15 + 12 * 31
+def test_minimal_exactly_when_no_smaller_pattern_is_held():
+    # The derivation's rule: a non-line graph is minimal (every one-vertex
+    # deletion is a line graph) exactly when it holds no derived pattern on
+    # fewer vertices.  Line graphs are told here by Krausz's test, not by
+    # the root search that derived the patterns.
+    patterns = derive_forbidden_set().patterns
+    minimal = 0
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            if _has_krausz_cover(g.adj):
+                continue
+            by_deletions = all(
+                _has_krausz_cover([0 if u == v else m & ~(1 << v) for u, m in enumerate(g.adj)])
+                for v in range(n)
+            )
+            by_patterns = not any(
+                p.n < n and find_induced(g, p) is not None for p in patterns
+            )
+            assert by_deletions == by_patterns, g
+            minimal += by_deletions
+    assert minimal == 9
 
 
 def test_forbidden_set_validates_its_shape():
